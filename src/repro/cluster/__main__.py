@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import os
 import pathlib
@@ -23,6 +24,7 @@ from typing import Any
 from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError, ReproError
+from repro.runtime.server import write_ready_file
 
 from repro.cluster.server import ClusterServer
 
@@ -134,13 +136,12 @@ async def _run(args: argparse.Namespace) -> None:
           f"({len(coord.transports)} workers x {coord.n_shards} shards, "
           f"backend={server.config.backend}, "
           f"{coord.restored_tasks} tasks restored)", flush=True)
+    ready = None
     if args.ready_file is not None:
-        ready = {"port": server.tcp_port,
-                 "http_port": server.http_port,
-                 "pid": os.getpid(),
-                 "workers": coord.worker_pids()}
-        args.ready_file.write_text(json.dumps(ready), encoding="utf-8")
-    await server.serve_forever()
+        ready = functools.partial(write_ready_file, args.ready_file, {
+            "port": server.tcp_port, "http_port": server.http_port,
+            "pid": os.getpid(), "workers": coord.worker_pids()})
+    await server.serve_forever(on_ready=ready)
     print("[cluster] shut down cleanly", flush=True)
 
 

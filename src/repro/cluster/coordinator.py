@@ -39,6 +39,7 @@ from typing import Any
 
 from repro.config import ClusterConfig, task_from_config
 from repro.core.adaptation import AdaptationConfig
+from repro.core.task import TaskSpec
 from repro.exceptions import ClusterError, ConfigurationError
 from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
 from repro.telemetry.registry import MetricsRegistry
@@ -145,6 +146,10 @@ class Coordinator:
         self._last_checkpoint_monotonic: float | None = None
         self._heartbeat_task: asyncio.Task | None = None
         self._checkpoint_task: asyncio.Task | None = None
+        # Ends the background loops even when a cancel is lost: on Python
+        # 3.11 ``asyncio.wait_for`` swallows a cancellation that lands as
+        # its inner request completes.
+        self._closing = False
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._started_monotonic = time.monotonic()
         self._worker_up = self.registry.gauge(
@@ -315,22 +320,35 @@ class Coordinator:
 
     async def _register_missing_tasks(self, routed: ShardRoute,
                                       entry: dict[str, Any] | None) -> None:
-        """Re-register catalog tasks a snapshot did not already carry."""
+        """Re-register catalog tasks a snapshot did not already carry.
+
+        One ``w_register_task`` round trip carries every missing task; an
+        entry the worker refuses is logged and skipped, and the entries
+        after it go in a further request.
+        """
         present = {str(t.get("name")) for t in
                    ((entry or {}).get("snapshot") or {}).get("tasks", [])}
-        for name, task_entry in self.catalog.items():
-            if (self.task_shard.get(name) != routed.shard_id
-                    or name in present):
-                continue
+        missing = [task_entry for name, task_entry in self.catalog.items()
+                   if self.task_shard.get(name) == routed.shard_id
+                   and name not in present]
+        while missing:
             reply = await self._request(routed.worker_id, {
                 "op": "w_register_task", "shard": routed.shard_id,
-                "task": task_entry, "defaults": self.defaults})
-            if not reply.get("ok"):  # pragma: no cover - config drift
-                logger.warning("cannot re-register task %s on shard %d: %s",
-                               name, routed.shard_id, reply.get("error"))
+                "tasks": missing, "defaults": self.defaults})
+            if reply.get("ok"):
+                return
+            # Config drift: skip the refused entry, keep the rest.
+            done = len(reply.get("registered", ()))
+            logger.warning("cannot re-register task %s on shard %d: %s",
+                           missing[done].get("name"), routed.shard_id,
+                           reply.get("error"))
+            if "registered" not in reply:  # shard-level refusal
+                return
+            missing = missing[done + 1:]
 
     async def shutdown(self) -> None:
         """Stop loops, flush a final checkpoint, close every transport."""
+        self._closing = True
         for task in (self._heartbeat_task, self._checkpoint_task):
             if task is not None:
                 task.cancel()
@@ -550,25 +568,87 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Task control
 
-    async def register_task(self, entry: dict[str, Any]) -> dict[str, Any]:
-        spec = task_from_config(dict(entry), self.defaults)
-        sid = route(spec.name, self.n_shards)
+    async def _register_on_shard(self, sid: int,
+                                 entries: list[dict[str, Any]],
+                                 ) -> dict[str, Any]:
+        """One ``w_register_task`` round trip for ``entries`` on ``sid``."""
         routed = self.routes[sid]
         await routed.wait_settled()
-        reply = await self._request(routed.worker_id, {
-            "op": "w_register_task", "shard": sid,
-            "task": dict(entry), "defaults": self.defaults})
-        if not reply.get("ok"):
-            return reply
+        return await self._request(routed.worker_id, {
+            "op": "w_register_task", "shard": sid, "tasks": entries,
+            "defaults": self.defaults})
+
+    def _note_registered(self, entry: dict[str, Any], spec: TaskSpec,
+                         sid: int, task_type: str) -> None:
+        """Coordinator bookkeeping for one task a worker registered."""
         self.task_shard[spec.name] = sid
-        self.catalog[spec.name] = dict(entry)
+        self.catalog[spec.name] = entry
         self._assign_gid(spec.name)
         self.task_epoch += 1
-        task_type = str(reply.get("type", "value"))
         self.trace.emit("task_registered", task=spec.name, shard=sid,
                         threshold=spec.threshold, type=task_type)
+
+    async def register_task(self, entry: dict[str, Any]) -> dict[str, Any]:
+        entry = dict(entry)
+        spec = task_from_config(entry, self.defaults)
+        sid = route(spec.name, self.n_shards)
+        reply = await self._register_on_shard(sid, [entry])
+        if not reply.get("ok"):
+            return {"ok": False, "error": reply.get("error"),
+                    "code": reply.get("code", "bad-request")}
+        task_type = str(reply["registered"][0].get("type", "value"))
+        self._note_registered(entry, spec, sid, task_type)
         return {"ok": True, "task": spec.name, "shard": sid,
                 "type": task_type}
+
+    async def register_tasks(self, entries: list[dict[str, Any]]) -> None:
+        """Register config entries with one worker round trip per shard.
+
+        Every entry is parsed, and its name checked against the list and
+        the catalog, before any request is sent: a malformed or duplicate
+        entry raises :class:`~repro.exceptions.ConfigurationError` and
+        changes no worker state. Bookkeeping (catalog, gids, trace) is
+        applied in list order, so the cluster ends up — checkpoint bytes
+        included — exactly as if the entries were registered one by one.
+        A worker refusing an entry also raises; the entries it and the
+        other shards registered stay registered.
+        """
+        parsed: list[tuple[dict[str, Any], TaskSpec, int]] = []
+        per_shard: dict[int, list[dict[str, Any]]] = {}
+        seen: set[str] = set()
+        for raw in entries:
+            spec = task_from_config(raw, self.defaults)
+            if spec.name in self.task_shard:
+                raise ConfigurationError(
+                    f"task {spec.name!r} already registered")
+            if spec.name in seen:
+                raise ConfigurationError(
+                    f"duplicate task {spec.name!r} in config")
+            seen.add(spec.name)
+            entry = dict(raw)
+            sid = route(spec.name, self.n_shards)
+            parsed.append((entry, spec, sid))
+            per_shard.setdefault(sid, []).append(entry)
+        replies = await asyncio.gather(
+            *(self._register_on_shard(sid, batch)
+              for sid, batch in per_shard.items()),
+            return_exceptions=True)
+        types: dict[str, str] = {}
+        failure: BaseException | None = None
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                failure = failure or reply
+                continue
+            for item in reply.get("registered", ()):
+                types[str(item["task"])] = str(item.get("type", "value"))
+            if not reply.get("ok"):
+                failure = failure or ConfigurationError(
+                    str(reply.get("error")))
+        for entry, spec, sid in parsed:
+            if spec.name in types:
+                self._note_registered(entry, spec, sid, types[spec.name])
+        if failure is not None:
+            raise failure
 
     async def remove_task(self, name: str) -> dict[str, Any]:
         sid = self.task_shard.get(name)
@@ -763,11 +843,16 @@ class Coordinator:
         try:
             await routed.wait_idle()
             snap = await self._request(source, {
-                "op": "w_snapshot_shard", "shard": shard_id, "drain": True})
+                "op": "w_snapshot_shard", "shard": shard_id, "drain": True,
+                "fingerprint": True})
             if not snap.get("ok"):
                 raise ClusterError(
                     f"cannot snapshot shard {shard_id} on {source}: "
                     f"{snap.get('error')}")
+            if not snap.get("fingerprint"):
+                raise ClusterError(
+                    f"snapshot of shard {shard_id} from {source} carries "
+                    f"no fingerprint; migration aborted")
             restored = await self._request(target, {
                 "op": "w_restore_shard", "shard": shard_id,
                 "snapshot": snap["snapshot"], "counters": snap["counters"],
@@ -842,7 +927,7 @@ class Coordinator:
     # Failure detection and re-placement
 
     async def _heartbeat_loop(self) -> None:
-        while True:
+        while not self._closing:
             await asyncio.sleep(self.config.heartbeat_interval)
             try:
                 await self._heartbeat_once()
@@ -994,7 +1079,7 @@ class Coordinator:
         return path
 
     async def _checkpoint_loop(self) -> None:
-        while True:
+        while not self._closing:
             await asyncio.sleep(self.config.checkpoint_interval)
             try:
                 await self.write_checkpoint()

@@ -299,15 +299,22 @@ class WorkerHost:
 
     async def _op_snapshot_shard(self, request: dict[str, Any],
                                  ) -> dict[str, Any]:
-        """Serialise one shard's full state (optionally after draining)."""
+        """Serialise one shard's full state (optionally after draining).
+
+        The SHA-256 ``fingerprint`` is computed only when the request asks
+        for it (``"fingerprint": true``, as migration does): heartbeat
+        snapshots of every shard would otherwise pay for it each beat.
+        """
         shard_id = int(request["shard"])
         worker = self._shard(shard_id)
         if bool(request.get("drain", False)):
             await worker.drain()
         snapshot = worker.service.snapshot()
-        return {"ok": True, "shard": shard_id, "snapshot": snapshot,
-                "counters": worker.stats(),
-                "fingerprint": state_fingerprint(snapshot)}
+        reply = {"ok": True, "shard": shard_id, "snapshot": snapshot,
+                 "counters": worker.stats()}
+        if request.get("fingerprint"):
+            reply["fingerprint"] = state_fingerprint(snapshot)
+        return reply
 
     async def _op_drop_shard(self, request: dict[str, Any]) -> dict[str, Any]:
         shard_id = int(request["shard"])
@@ -434,18 +441,36 @@ class WorkerHost:
     # Ops — task control / reads
 
     def _op_register_task(self, request: dict[str, Any]) -> dict[str, Any]:
-        entry = request.get("task")
-        if not isinstance(entry, dict):
-            return _error("w_register_task needs a 'task' dict")
+        """Register config entries on one shard, in list order.
+
+        ``{"shard": s, "tasks": [entry, ...], "defaults": {...}}``.
+        Registration stops at the first entry that fails; the reply lists
+        ``{"task", "type"}`` for every entry registered before it, and
+        carries ``ok: false`` plus the ``error`` when one failed.
+        """
+        entries = request.get("tasks")
+        if not isinstance(entries, list):
+            return _error("w_register_task needs a 'tasks' list")
         worker = self._shard(int(request.get("shard", -1)))
-        spec = register_task_from_config(
-            worker.service, dict(entry),
-            dict(request.get("defaults") or {}),
-            on_alert=self._alert_hook(worker), config=self.adaptation)
-        # The new task's name may already be cached as row -1.
+        service = worker.service
+        defaults = dict(request.get("defaults") or {})
+        hook = self._alert_hook(worker)
+        registered: list[dict[str, str]] = []
+        reply: dict[str, Any] = {"ok": True}
+        for entry in entries:
+            try:
+                spec = register_task_from_config(
+                    service, entry, defaults, on_alert=hook,
+                    config=self.adaptation)
+            except (ReproError, KeyError, ValueError, TypeError) as exc:
+                reply = _error(str(exc))
+                break
+            registered.append({"task": spec.name,
+                               "type": service.task_type(spec.name)})
+        # The new tasks' names may already be cached as row -1.
         self._gid_rows.pop(worker.shard_id, None)
-        return {"ok": True, "task": spec.name, "shard": worker.shard_id,
-                "type": worker.service.task_type(spec.name)}
+        reply.update(shard=worker.shard_id, registered=registered)
+        return reply
 
     def _op_remove_task(self, request: dict[str, Any]) -> dict[str, Any]:
         worker = self._shard(int(request.get("shard", -1)))

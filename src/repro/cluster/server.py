@@ -22,9 +22,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import signal
 import time
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
                                     PROTOCOL_VERSION, OfferColumns,
                                     encode_frame_parts, encode_offer_reply,
                                     read_frame)
+from repro.runtime.server import arm_shutdown_signals
 from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
                                         TelemetryHTTPServer,
                                         render_prometheus)
@@ -125,12 +125,14 @@ class ClusterServer:
         return self._http.port if self._http is not None else None
 
     async def apply_config(self, config: dict[str, Any]) -> None:
-        """Register defaults, tasks and triggers from a config dict."""
+        """Register defaults, tasks and triggers from a config dict.
+
+        Tasks go in one worker round trip per shard, after every entry
+        has been parsed and checked for duplicate names
+        (:meth:`Coordinator.register_tasks`).
+        """
         self.coordinator.defaults = dict(config.get("defaults", {}))
-        for entry in config.get("tasks", []):
-            reply = await self.coordinator.register_task(dict(entry))
-            if not reply.get("ok"):
-                raise ConfigurationError(str(reply.get("error")))
+        await self.coordinator.register_tasks(list(config.get("tasks", [])))
         for trigger in config.get("triggers", []):
             reply = await self.coordinator.add_trigger(dict(trigger))
             if not reply.get("ok"):
@@ -169,18 +171,18 @@ class ClusterServer:
         await self.coordinator.shutdown()
         self._done.set()
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes."""
-        loop = asyncio.get_running_loop()
+    async def serve_forever(self,
+                            on_ready: Callable[[], None] | None = None,
+                            ) -> None:
+        """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes.
 
-        def _request_shutdown() -> None:
-            loop.create_task(self.shutdown())
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, _request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
+        ``on_ready`` runs once the signal handlers are armed — the CLIs
+        publish their ready file there, so a supervisor may signal the
+        moment it appears.
+        """
+        arm_shutdown_signals(self.shutdown)
+        if on_ready is not None:
+            on_ready()
         await self._done.wait()
 
     # ------------------------------------------------------------------

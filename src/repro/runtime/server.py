@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import logging
 import os
@@ -38,7 +39,7 @@ import pathlib
 import signal
 import sys
 import time
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 import numpy as np
 
@@ -72,6 +73,29 @@ logger = logging.getLogger(__name__)
 
 def _error(message: str, code: str = "bad-request") -> dict[str, Any]:
     return {"ok": False, "error": message, "code": code}
+
+
+def arm_shutdown_signals(shutdown: Callable[[], Awaitable[None]]) -> None:
+    """Route SIGTERM/SIGINT on the running loop to ``shutdown()``."""
+    loop = asyncio.get_running_loop()
+    tasks: list[asyncio.Task] = []  # the loop holds tasks only weakly
+
+    def _request_shutdown() -> None:
+        tasks.append(loop.create_task(shutdown()))
+
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(sig, _request_shutdown)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-unix platforms / nested loops
+
+
+def write_ready_file(path: pathlib.Path, ready: dict[str, Any]) -> None:
+    """Publish a ready file atomically (temp file + ``os.replace``), so a
+    watcher never reads a partial one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(ready), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 _MAX_INTERN = 1 << 20  # hard cap on per-connection intern table size
@@ -535,18 +559,18 @@ class RuntimeServer:
             self.config.unix_socket.unlink()
         self._done.set()
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes."""
-        loop = asyncio.get_running_loop()
+    async def serve_forever(self,
+                            on_ready: Callable[[], None] | None = None,
+                            ) -> None:
+        """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes.
 
-        def _request_shutdown() -> None:
-            loop.create_task(self.shutdown())
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, _request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix platforms / nested loops
+        ``on_ready`` runs once the signal handlers are armed — the CLIs
+        publish their ready file there, so a supervisor may signal the
+        moment it appears.
+        """
+        arm_shutdown_signals(self.shutdown)
+        if on_ready is not None:
+            on_ready()
         await self._done.wait()
 
     # ------------------------------------------------------------------
@@ -1199,14 +1223,15 @@ async def _run(args: argparse.Namespace) -> None:
     print(f"[runtime] listening on {', '.join(endpoints)} "
           f"({server.config.shards} shards, "
           f"{server.restored_tasks} tasks restored)", flush=True)
+    ready = None
     if args.ready_file is not None:
-        ready = {"port": server.tcp_port,
-                 "unix": (str(server.config.unix_socket)
-                          if server.config.unix_socket else None),
-                 "http_port": server.http_port,
-                 "pid": os.getpid()}
-        args.ready_file.write_text(json.dumps(ready), encoding="utf-8")
-    await server.serve_forever()
+        ready = functools.partial(write_ready_file, args.ready_file, {
+            "port": server.tcp_port,
+            "unix": (str(server.config.unix_socket)
+                     if server.config.unix_socket else None),
+            "http_port": server.http_port,
+            "pid": os.getpid()})
+    await server.serve_forever(on_ready=ready)
     print("[runtime] shut down cleanly", flush=True)
 
 

@@ -291,6 +291,21 @@ class TaskState:
         return task_state
 
 
+def _relink(index: dict[str, set[str]], target: str,
+            old: str | None, new: str | None) -> None:
+    """Move ``target``'s entry in a reverse trigger index from ``old`` to
+    ``new`` (either may be ``None``: no trigger)."""
+    if old == new:
+        return
+    if old is not None:
+        refs = index[old]
+        refs.discard(target)
+        if not refs:
+            del index[old]
+    if new is not None:
+        index.setdefault(new, set()).add(target)
+
+
 def _spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
     return {
         "threshold": spec.threshold,
@@ -344,6 +359,13 @@ class MonitoringService:
         self._trigger_events: deque[dict[str, Any]] = deque(maxlen=1024)
         self._soa = None
         self._soa_rows: dict[int, TaskState] = {}
+        # Reverse trigger index: trigger name -> names of the tasks gating
+        # on it through a local ``trigger_task`` / a channel
+        # ``remote_trigger``. SoA eligibility and remove_task's dangling-
+        # reference cleanup read it instead of scanning every task, which
+        # keeps registration, removal and restore O(1) per task.
+        self._local_refs: dict[str, set[str]] = {}
+        self._remote_refs: dict[str, set[str]] = {}
         if soa:
             from repro.core.soa import SoaSamplerEngine
             self._soa = SoaSamplerEngine()
@@ -370,8 +392,7 @@ class MonitoringService:
             # Channel-guarded tasks need the scalar path's armed-flag
             # gating; watched tasks need per-offer edge detection.
             return False
-        return all(other.trigger_task != state.name
-                   for other in self._tasks.values())
+        return state.name not in self._local_refs
 
     def _adopt_soa(self, state: TaskState,
                    config: AdaptationConfig) -> None:
@@ -578,16 +599,19 @@ class MonitoringService:
             state.soa_row = -1
         del self._tasks[name]
         self._last_seen.pop(name, None)
-        for other in self._tasks.values():
-            if other.trigger_task == name:
-                other.trigger_task = None
-                other.trigger_level = 0.0
-            if other.remote_trigger == name:
-                # A locally-registered guard loses its edge source; fall
-                # back to full-rate sampling rather than freezing the
-                # target at whatever armed state the last edge left.
-                other.remote_trigger = None
-                other.trigger_armed = True
+        _relink(self._local_refs, name, state.trigger_task, None)
+        _relink(self._remote_refs, name, state.remote_trigger, None)
+        for target in self._local_refs.pop(name, ()):
+            other = self._tasks[target]
+            other.trigger_task = None
+            other.trigger_level = 0.0
+        for target in self._remote_refs.pop(name, ()):
+            # A locally-registered guard loses its edge source; fall
+            # back to full-rate sampling rather than freezing the
+            # target at whatever armed state the last edge left.
+            other = self._tasks[target]
+            other.remote_trigger = None
+            other.trigger_armed = True
 
     def add_trigger(self, target: str, trigger: str, elevation_level: float,
                     suspend_interval: int = 10) -> None:
@@ -607,6 +631,7 @@ class MonitoringService:
         # ends — evict either side from the SoA engine first.
         self._evict_soa(state)
         self._evict_soa(trigger_state)
+        _relink(self._local_refs, target, state.trigger_task, trigger)
         state.trigger_task = trigger
         state.trigger_level = elevation_level
         state.suspend_interval = suspend_interval
@@ -643,6 +668,7 @@ class MonitoringService:
                 f"suspend_interval must be >= 1, got {suspend_interval}")
         self._evict_soa(state)
         fresh = state.remote_trigger != trigger
+        _relink(self._remote_refs, target, state.remote_trigger, trigger)
         state.remote_trigger = trigger
         state.trigger_level = float(elevation_level)
         state.suspend_interval = int(suspend_interval)
@@ -1197,6 +1223,9 @@ class MonitoringService:
                 raise ConfigurationError(
                     f"snapshot task {state.name!r} references missing "
                     f"trigger {state.trigger_task!r}")
+            _relink(service._local_refs, state.name, None, state.trigger_task)
+            _relink(service._remote_refs, state.name, None,
+                    state.remote_trigger)
         service._last_seen = {str(k): float(v) for k, v in
                               snapshot.get("last_seen", {}).items()}
         if service._soa is not None:

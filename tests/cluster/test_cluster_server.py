@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from cluster_utils import run_cluster
 
 from repro.config import RuntimeConfig
+from repro.exceptions import ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
 
@@ -215,6 +218,35 @@ class TestClusterOnlyOps:
         assert info["ok"] and info["shard"] == 1
         assert more["accepted"] == 2
         assert after["migrations"] == 1
+
+    def test_migrate_fails_closed_without_source_fingerprint(self):
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                for task in TASKS:
+                    await client.register_task(**task)
+                source = coord.routes[1].worker_id
+                target = "w1" if source == "w0" else "w0"
+                transport = coord.transports[source]
+                inner = transport.request
+
+                async def strip_fingerprint(payload):
+                    reply = await inner(payload)
+                    if payload.get("op") == "w_snapshot_shard":
+                        reply.pop("fingerprint", None)
+                    return reply
+                transport.request = strip_fingerprint
+                with pytest.raises(ProtocolError, match="no fingerprint"):
+                    await client.migrate(1, target)
+                more = await client.offer_batch([["task-0", 100, 25.0]])
+                return coord.routes[1].worker_id, source, more
+            finally:
+                await client.close()
+
+        owner, source, more = run_cluster(scenario, workers=2, shards=SHARDS)
+        assert owner == source
+        assert more["accepted"] == 1
 
     def test_migrate_to_unknown_worker_fails_cleanly(self):
         async def scenario(cluster):

@@ -103,7 +103,8 @@ class TestMidStreamMigration:
                 await cluster.coordinator.drain()
                 observed = await _observe(client)
                 snap = await cluster.coordinator._request(target, {
-                    "op": "w_snapshot_shard", "shard": TASK_SHARD})
+                    "op": "w_snapshot_shard", "shard": TASK_SHARD,
+                    "fingerprint": True})
                 return observed, snap["fingerprint"]
             finally:
                 await client.close()
@@ -186,7 +187,8 @@ class TestMigrationUnderConcurrentLoad:
                 await cluster.coordinator.drain()
                 observed = await _observe(client)
                 snap = await cluster.coordinator._request(home, {
-                    "op": "w_snapshot_shard", "shard": TASK_SHARD})
+                    "op": "w_snapshot_shard", "shard": TASK_SHARD,
+                    "fingerprint": True})
                 return observed, snap["fingerprint"]
             finally:
                 await client.close()

@@ -22,7 +22,7 @@ async def _host_with_task(shard_id: int = 3) -> WorkerHost:
     assert (await host.handle({"op": "w_add_shard",
                                "shard": shard_id}))["ok"]
     assert (await host.handle({"op": "w_register_task", "shard": shard_id,
-                               "task": TASK}))["ok"]
+                               "tasks": [TASK]}))["ok"]
     return host
 
 
@@ -72,6 +72,59 @@ class TestLifecycle:
         assert not reply["ok"] and reply["code"] == "unknown-op"
 
 
+class TestRegisterTasks:
+    def test_list_registers_in_order_and_stops_at_first_failure(self):
+        async def scenario():
+            host = WorkerHost("w0")
+            host.start()
+            await host.handle({"op": "w_add_shard", "shard": 0})
+            reply = await host.handle({
+                "op": "w_register_task", "shard": 0,
+                "defaults": {"max_interval": 4},
+                "tasks": [{"name": "a", "threshold": 1.0},
+                          {"name": "q", "type": "quantile",
+                           "threshold": 5.0, "quantile": 0.9},
+                          {"name": "a", "threshold": 2.0},
+                          {"name": "never", "threshold": 3.0}]})
+            snap = await host.handle({"op": "w_snapshot_shard", "shard": 0})
+            await host.close()
+            return reply, snap
+
+        reply, snap = run(scenario())
+        assert not reply["ok"] and "already registered" in reply["error"]
+        assert reply["registered"] == [{"task": "a", "type": "value"},
+                                       {"task": "q", "type": "quantile"}]
+        tasks = snap["snapshot"]["tasks"]
+        assert [t["name"] for t in tasks] == ["a", "q"]
+        assert tasks[0]["spec"]["max_interval"] == 4
+
+    def test_single_task_form_is_gone(self):
+        async def scenario():
+            host = WorkerHost("w0")
+            await host.handle({"op": "w_add_shard", "shard": 0})
+            reply = await host.handle({"op": "w_register_task", "shard": 0,
+                                       "task": TASK})
+            await host.close()
+            return reply
+
+        reply = run(scenario())
+        assert not reply["ok"] and "'tasks' list" in reply["error"]
+
+    def test_snapshot_fingerprint_only_on_request(self):
+        async def scenario():
+            host = await _host_with_task(shard_id=1)
+            plain = await host.handle({"op": "w_snapshot_shard",
+                                       "shard": 1})
+            asked = await host.handle({"op": "w_snapshot_shard", "shard": 1,
+                                       "fingerprint": True})
+            await host.close()
+            return plain, asked
+
+        plain, asked = run(scenario())
+        assert "fingerprint" not in plain
+        assert asked["fingerprint"] == state_fingerprint(asked["snapshot"])
+
+
 class TestDataPath:
     def test_offer_applies_and_counts(self):
         async def scenario():
@@ -113,8 +166,8 @@ class TestDataPath:
             host.start()
             await host.handle({"op": "w_add_shard", "shard": 0})
             await host.handle({"op": "w_register_task", "shard": 0,
-                               "task": {"name": "hot", "threshold": 10.0,
-                                        "error_allowance": 0.0}})
+                               "tasks": [{"name": "hot", "threshold": 10.0,
+                                          "error_allowance": 0.0}]})
             await host.handle({"op": "w_offer",
                                "b": [[0, [["hot", s, 99.0]
                                           for s in range(4)]]]})
@@ -138,7 +191,8 @@ class TestSnapshotRestore:
                                  "b": [[4, [["t", s, 30.0 + s]
                                             for s in range(20)]]]})
             snap = await source.handle({"op": "w_snapshot_shard",
-                                        "shard": 4, "drain": True})
+                                        "shard": 4, "drain": True,
+                                        "fingerprint": True})
             target = WorkerHost("w1")
             target.start()
             restored = await target.handle({
@@ -173,9 +227,9 @@ class TestSnapshotRestore:
                             "counters": snap["counters"]})
             await c.handle({"op": "w_offer", "b": [[0, updates[30:]]]})
             final_a = await a.handle({"op": "w_snapshot_shard", "shard": 0,
-                                      "drain": True})
+                                      "drain": True, "fingerprint": True})
             final_c = await c.handle({"op": "w_snapshot_shard", "shard": 0,
-                                      "drain": True})
+                                      "drain": True, "fingerprint": True})
             for host in (a, b, c):
                 await host.close()
             return final_a, final_c

@@ -170,11 +170,6 @@ class WorkerHost:
             else:
                 await worker.abort()
 
-    def _alert_hook(self, worker: ShardWorker):
-        def hook(alert: Alert, _worker: ShardWorker = worker) -> None:
-            _worker.alerts_fired += 1
-        return hook
-
     def _install(self, shard_id: int, service: MonitoringService,
                  ) -> ShardWorker:
         self._gid_rows.pop(shard_id, None)
@@ -210,9 +205,10 @@ class WorkerHost:
                            f"{shard_id}")
         return worker
 
-    def _find_task(self, request: dict[str, Any]) -> tuple[ShardWorker, Any]:
+    def _task_alerts(self, request: dict[str, Any],
+                     ) -> tuple[ShardWorker, list[Alert]]:
         worker = self._shard(int(request.get("shard", -1)))
-        return worker, worker.service._state(str(request.get("task", "")))
+        return worker, worker.service.alerts(str(request.get("task", "")))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -275,20 +271,8 @@ class WorkerHost:
             worker = self._install(
                 shard_id, MonitoringService(self.adaptation, soa=self.soa))
         else:
-            # The alert callback must bump the ShardWorker's counter, but
-            # the worker only exists after the service does — close over a
-            # cell that is filled right after installation.
-            cell: list[ShardWorker] = []
-
-            def on_alert(_name: str, _alert: Alert) -> None:
-                if cell:
-                    cell[0].alerts_fired += 1
-
-            service = MonitoringService.restore(dict(snapshot),
-                                                on_alert=on_alert,
-                                                soa=self.soa)
-            worker = self._install(shard_id, service)
-            cell.append(worker)
+            worker = self._install(shard_id, MonitoringService.restore(
+                dict(snapshot), soa=self.soa))
         counters = request.get("counters")
         if counters:
             restore_counters(worker, counters)
@@ -454,14 +438,12 @@ class WorkerHost:
         worker = self._shard(int(request.get("shard", -1)))
         service = worker.service
         defaults = dict(request.get("defaults") or {})
-        hook = self._alert_hook(worker)
         registered: list[dict[str, str]] = []
         reply: dict[str, Any] = {"ok": True}
         for entry in entries:
             try:
                 spec = register_task_from_config(
-                    service, entry, defaults, on_alert=hook,
-                    config=self.adaptation)
+                    service, entry, defaults, config=self.adaptation)
             except (ReproError, KeyError, ValueError, TypeError) as exc:
                 reply = _error(str(exc))
                 break
@@ -541,7 +523,7 @@ class WorkerHost:
                 "next_due": next_due, "shard": worker.shard_id}
 
     def _op_task_info(self, request: dict[str, Any]) -> dict[str, Any]:
-        worker, state = self._find_task(request)
+        worker, alerts = self._task_alerts(request)
         service = worker.service
         name = str(request.get("task", ""))
         return {
@@ -549,7 +531,7 @@ class WorkerHost:
             "task": name,
             "shard": worker.shard_id,
             "samples_taken": service.samples_taken(name),
-            "alerts": len(state.alerts),
+            "alerts": len(alerts),
             "interval": service.interval(name),
             "next_due": service.next_due(name),
             "observations": service.observations(name),
@@ -558,10 +540,10 @@ class WorkerHost:
         }
 
     def _op_alerts(self, request: dict[str, Any]) -> dict[str, Any]:
-        _worker, state = self._find_task(request)
+        _worker, alerts = self._task_alerts(request)
         return {"ok": True, "task": str(request.get("task", "")),
                 "alerts": [[a.time_index, a.value, a.threshold]
-                           for a in state.alerts]}
+                           for a in alerts]}
 
     def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         return {"ok": True, "worker_id": self.worker_id,

@@ -244,6 +244,53 @@ class SoaSamplerEngine:
             },
         }
 
+    def rows_state_dicts(self, rows: np.ndarray) -> list[dict[str, Any]]:
+        """:meth:`row_state_dict` for many rows, gathering each column once.
+
+        Returns one dict per entry of ``rows``, equal key for key and
+        value for value to ``row_state_dict(row)`` (the snapshot path).
+        """
+        def col(name: str) -> list[Any]:
+            return getattr(self, name)[rows].tolist()
+
+        out = []
+        for (interval, streak, has_last, last_value, last_time, err, obs,
+             grows, resets, sum_r, sum_log_e, coord_n, stat_n, mean, var,
+             has_stale, stale_mean, stale_var, stale_count, restarts,
+             total) in zip(
+                col("interval"), col("streak"), col("has_last"),
+                col("last_value"), col("last_time"), col("err"),
+                col("observations"), col("grow_events"),
+                col("reset_events"), col("coord_sum_r"),
+                col("coord_sum_log_e"), col("coord_n"), col("stat_n"),
+                col("mean"), col("var"), col("has_stale"),
+                col("stale_mean"), col("stale_var"), col("stale_count"),
+                col("restarts"), col("total_count")):
+            out.append({
+                "interval": interval,
+                "streak": streak,
+                "last_value": last_value if has_last else None,
+                "last_time": last_time if has_last else None,
+                "error_allowance": err,
+                "observations": obs,
+                "grow_events": grows,
+                "reset_events": resets,
+                "coord_sum_r": sum_r,
+                "coord_sum_log_e": sum_log_e,
+                "coord_n": coord_n,
+                "stats": {
+                    "n": stat_n,
+                    "mean": mean,
+                    "var": var,
+                    "stale_mean": stale_mean if has_stale else None,
+                    "stale_var": stale_var if has_stale else None,
+                    "stale_count": stale_count,
+                    "restarts": restarts,
+                    "total_count": total,
+                },
+            })
+        return out
+
     def load_row_state(self, row: int, state: dict[str, Any]) -> None:
         """Load a scalar sampler ``state_dict`` into the row."""
         self.interval[row] = int(state["interval"])

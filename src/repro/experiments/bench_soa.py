@@ -7,9 +7,12 @@ offer through the scalar :class:`~repro.core.adaptation
 :class:`~repro.core.soa.SoaSamplerEngine` — and verifies the bit-equivalence
 contract of DESIGN.md S31 end to end: identical snapshots (every sampler
 state_dict float included), identical per-task alert sequences, identical
-sampling counters. Both estimators (``chebyshev`` and ``gaussian``) are
-checked; the default stream is 1M+ points so the Welford accumulators pass
-through growth, violation streaks, restarts and stale-serving regimes.
+sampling counters and identical decision traces (each service carries a
+:class:`~repro.telemetry.trace.DecisionTrace`, so the columnar path's
+chunked emission is checked against per-event emission). Both
+estimators (``chebyshev`` and ``gaussian``) are checked; the default
+stream is 1M+ points so the Welford accumulators pass through growth,
+violation streaks, restarts and stale-serving regimes.
 
 The report also carries throughput for each path, which is the honest way
 to state the SoA speedup: the columnar engine's win is amortising the
@@ -26,6 +29,7 @@ import json
 import pathlib
 import sys
 import time
+from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -33,10 +37,12 @@ import numpy as np
 from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.service import MonitoringService
+from repro.telemetry.trace import DecisionTrace
 
 __all__ = ["equivalence_report", "main", "run_equivalence"]
 
 _THRESHOLD = 100.0
+_PHASE_STEPS = 500
 
 ESTIMATORS = ("chebyshev", "gaussian")
 
@@ -59,6 +65,20 @@ def _alert_log(service: MonitoringService) -> dict[str, list[tuple]]:
             for name in service.task_names}
 
 
+def _trace_multiset(trace: DecisionTrace) -> Counter:
+    """``(kind, task, step, payload)`` of every event, seq and ts excluded.
+
+    A multiset, not a sequence: the scalar path interleaves event kinds
+    per offer, the columnar path groups them per batch.
+    """
+    skip = {"seq", "ts_monotonic", "kind", "task", "step"}
+    return Counter(
+        (event["kind"], event.get("task"), event.get("step"),
+         tuple((key, value) for key, value in event.items()
+               if key not in skip))
+        for event in trace.drain())
+
+
 def _task_counters(service: MonitoringService) -> dict[str, tuple]:
     return {name: (service.samples_taken(name), service.interval(name),
                    service.next_due(name), service.observations(name))
@@ -71,23 +91,36 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     """One estimator's bit-identity check + throughput numbers.
 
     The stream is round-robin over ``tasks`` with heavy gaussian noise
-    hovering below the threshold, so interval growth, violations and
-    resets all occur. The scalar service consumes it offer-by-offer
+    hovering below the threshold. Even-numbered tasks alternate between
+    that noise and a calm phase (an 18th of the spread) every
+    ``_PHASE_STEPS`` steps, so interval growth, violations and resets
+    all occur. The scalar service consumes it offer-by-offer
     (:meth:`~repro.service.MonitoringService.offer_fast`); the SoA service
     consumes it as ``batch``-sized columns
-    (:meth:`~repro.service.MonitoringService.offer_columns`).
+    (:meth:`~repro.service.MonitoringService.offer_columns`). Both paths
+    run with a decision trace attached, so the throughputs include
+    trace emission.
     """
     if tasks < 1 or points < tasks:
         raise ValueError(f"need points >= tasks >= 1, got "
                          f"{points=} {tasks=}")
     rng = np.random.default_rng(seed)
     values = rng.normal(80.0, 18.0, points)
+    positions = np.arange(points, dtype=np.int64)
+    calm = (positions % tasks % 2 == 0) & (
+        positions // tasks // _PHASE_STEPS % 2 == 0)
+    values[calm] = 80.0 + (values[calm] - 80.0) / 18.0
     names = [f"soa-{i:04d}" for i in range(tasks)]
 
     scalar = _build_service(tasks, estimator, soa=False,
                             max_interval=max_interval)
     vector = _build_service(tasks, estimator, soa=True,
                             max_interval=max_interval)
+    # At most two events (adaptation + violation) per offer: nothing is
+    # evicted, so the whole stream's decisions are compared.
+    traces = [DecisionTrace(capacity=2 * points) for _ in range(2)]
+    scalar.attach_telemetry(traces[0], shard=0)
+    vector.attach_telemetry(traces[1], shard=0)
 
     # Scalar path: one interpreter round-trip per offer.
     started = time.perf_counter()
@@ -100,7 +133,6 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     # resolve once up front, exactly as the server's intern table does.
     rows_by_task = np.asarray([vector.soa_row_for(n) for n in names],
                               dtype=np.int64)
-    positions = np.arange(points, dtype=np.int64)
     all_rows = rows_by_task[positions % tasks]
     all_steps = positions // tasks
     started = time.perf_counter()
@@ -118,6 +150,10 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     snapshots_equal = scalar.snapshot() == vector.snapshot()
     alerts_equal = _alert_log(scalar) == _alert_log(vector)
     counters_equal = _task_counters(scalar) == _task_counters(vector)
+    trace_events = len(traces[1])
+    traces_equal = (len(traces[0]) == trace_events
+                    and _trace_multiset(traces[0])
+                    == _trace_multiset(traces[1]))
     return {
         "estimator": estimator,
         "points": points,
@@ -125,10 +161,12 @@ def run_equivalence(points: int, tasks: int, estimator: str,
         "batch": batch,
         "applied": applied,
         "identical": bool(snapshots_equal and alerts_equal
-                          and counters_equal),
+                          and counters_equal and traces_equal),
         "snapshots_equal": snapshots_equal,
         "alerts_equal": alerts_equal,
         "counters_equal": counters_equal,
+        "traces_equal": traces_equal,
+        "trace_events": trace_events,
         "alerts": sum(len(log) for log in _alert_log(vector).values()),
         "scalar_points_per_sec": (round(points / scalar_elapsed)
                                   if scalar_elapsed else 0),

@@ -64,7 +64,6 @@ from repro.telemetry.selfmon import SelfMonitor
 from repro.telemetry.trace import DecisionTrace
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 from repro.triggers.plan import TriggerPlan
-from repro.types import Alert
 
 __all__ = ["RuntimeServer", "main"]
 
@@ -208,15 +207,6 @@ class RuntimeServer:
     def worker_for(self, name: str) -> ShardWorker:
         """The shard worker a task name routes to."""
         return self._workers[shard_for(name, self.config.shards)]
-
-    def _find_task(self, name: str) -> tuple[ShardWorker, Any]:
-        worker = self.worker_for(name)
-        return worker, worker.service._state(name)
-
-    def _alert_hook(self, worker: ShardWorker):
-        def hook(alert: Alert, _worker: ShardWorker = worker) -> None:
-            _worker.alerts_fired += 1
-        return hook
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -428,10 +418,8 @@ class RuntimeServer:
                 f"resharding a checkpoint is not supported")
         snapshots = state.get("shards", [])
         for worker, snapshot in zip(self._workers, snapshots):
-            hook = self._alert_hook(worker)
             worker.service = MonitoringService.restore(
-                snapshot, on_alert=lambda name, alert, _h=hook: _h(alert),
-                soa=self._soa_enabled)
+                snapshot, soa=self._soa_enabled)
             self._restored_tasks += len(worker.service.task_names)
         self._task_shard = {str(k): int(v) for k, v in
                             state.get("task_shard", {}).items()}
@@ -477,7 +465,6 @@ class RuntimeServer:
         worker = self.worker_for(name)
         spec = register_task_from_config(worker.service, entry,
                                          self._defaults,
-                                         on_alert=self._alert_hook(worker),
                                          config=self._adaptation)
         self._task_shard[spec.name] = worker.shard_id
         self.trace.emit("task_registered", task=spec.name,
@@ -1030,14 +1017,14 @@ class RuntimeServer:
 
     def _op_task_info(self, request: dict[str, Any]) -> dict[str, Any]:
         name = str(request.get("task", ""))
-        worker, state = self._find_task(name)
+        worker = self.worker_for(name)
         service = worker.service
         return {
             "ok": True,
             "task": name,
             "shard": worker.shard_id,
             "samples_taken": service.samples_taken(name),
-            "alerts": len(state.alerts),
+            "alerts": len(service.alerts(name)),
             "interval": service.interval(name),
             "next_due": service.next_due(name),
             "observations": service.observations(name),
@@ -1047,10 +1034,10 @@ class RuntimeServer:
 
     def _op_alerts(self, request: dict[str, Any]) -> dict[str, Any]:
         name = str(request.get("task", ""))
-        _, state = self._find_task(name)
+        alerts = self.worker_for(name).service.alerts(name)
         return {"ok": True, "task": name,
                 "alerts": [[a.time_index, a.value, a.threshold]
-                           for a in state.alerts]}
+                           for a in alerts]}
 
     def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         shards = [w.stats() for w in self._workers]

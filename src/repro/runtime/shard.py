@@ -153,6 +153,8 @@ class ShardWorker:
         :meth:`~repro.service.MonitoringService.offer_fast` path — same
         behaviour as ``offer`` (equivalence-tested), minus one decision
         object per consumed update on the hottest loop in the runtime.
+        ``alerts_fired`` grows by the service's own alert count delta, so
+        no per-alert callback is needed.
         """
         if self.fault_hook.enabled:
             # Chaos seam: may raise to simulate an unexpected internal
@@ -160,28 +162,33 @@ class ShardWorker:
             # reject-and-continue path). Guarded so production pays one
             # attribute load + falsy check per batch.
             self.fault_hook.before_apply(self.shard_id, len(updates))
-        offer_fast = self.service.offer_fast
+        service = self.service
+        offer_fast = service.offer_fast
         interval_hist = self.interval_hist
-        for name, step, value in updates:
-            try:
-                interval = offer_fast(str(name), float(value), int(step))
-            except ConfigurationError:
-                # Unknown task: raced a remove_task that was applied after
-                # this batch was queued. Shed-with-count, don't poison the
-                # batch.
-                self.rejected += 1
-                continue
-            except (ValueError, TypeError):
-                # Non-numeric step/value that slipped past wire validation
-                # (or a direct caller). Count it rejected; the rest of the
-                # batch must still apply.
-                self.rejected += 1
-                continue
-            self.applied += 1
-            if interval is not None:
-                self.consumed += 1
-                if interval_hist is not None:
-                    interval_hist.observe(interval)
+        fired = service.alerts_fired
+        try:
+            for name, step, value in updates:
+                try:
+                    interval = offer_fast(str(name), float(value), int(step))
+                except ConfigurationError:
+                    # Unknown task: raced a remove_task that was applied
+                    # after this batch was queued. Shed-with-count, don't
+                    # poison the batch.
+                    self.rejected += 1
+                    continue
+                except (ValueError, TypeError):
+                    # Non-numeric step/value that slipped past wire
+                    # validation (or a direct caller). Count it rejected;
+                    # the rest of the batch must still apply.
+                    self.rejected += 1
+                    continue
+                self.applied += 1
+                if interval is not None:
+                    self.consumed += 1
+                    if interval_hist is not None:
+                        interval_hist.observe(interval)
+        finally:
+            self.alerts_fired += service.alerts_fired - fired
 
     def apply_columns(self, batch: ColumnBatch) -> None:
         """Apply a decoded columnar batch (the binary-path work unit).
@@ -194,8 +201,13 @@ class ShardWorker:
         """
         if self.fault_hook.enabled:
             self.fault_hook.before_apply(self.shard_id, len(batch))
-        applied, consumed, rejected, intervals = self.service.offer_columns(
-            batch.rows, batch.steps, batch.values, batch.names)
+        service = self.service
+        fired = service.alerts_fired
+        try:
+            applied, consumed, rejected, intervals = service.offer_columns(
+                batch.rows, batch.steps, batch.values, batch.names)
+        finally:
+            self.alerts_fired += service.alerts_fired - fired
         self.applied += applied
         self.consumed += consumed
         self.rejected += rejected

@@ -68,7 +68,10 @@ class TaskState:
         sampler: the adaptive sampler driving the schedule.
         next_due: grid step of the next wanted sample.
         samples_taken: sampling operations consumed so far.
-        alerts: alerts raised so far.
+        alerts: alerts raised so far. For an engine-backed task the
+            latest ones may still sit in the service's columnar alert
+            log; read histories through
+            :meth:`MonitoringService.alerts`.
         trigger_task: name of the task gating this one (or ``None``).
         trigger_level: elevation level of the gating metric.
         suspend_interval: idle interval while the trigger is cold.
@@ -94,7 +97,7 @@ class TaskState:
             task is driven by its scalar sampler. While ``>= 0`` the
             engine columns are authoritative for sampler state, schedule
             position and last-offered value; the scalar fields here are
-            synced back on snapshot/eviction.
+            synced back on eviction (snapshots read the columns).
         task_type: ``"value"`` (scalar, the default), ``"quantile"`` or
             ``"entropy"``. Non-value tasks carry a ``substrate`` whose
             derived statistic — exceedance rate / windowed entropy — is
@@ -200,16 +203,26 @@ class TaskState:
         The ``on_alert`` callback is *not* serialisable — restoring callers
         re-attach their own.
         """
+        return self._state_dict(self.sampler.state_dict(), self.next_due,
+                                self.samples_taken,
+                                [[a.time_index, a.value, a.threshold]
+                                 for a in self.alerts])
+
+    def _state_dict(self, sampler: dict[str, Any], next_due: int,
+                    samples_taken: int,
+                    alerts: list[list[Any]]) -> dict[str, Any]:
+        """:meth:`state_dict` with the schedule, sampler state and alert
+        rows supplied by the caller (an SoA row's columns are
+        authoritative for those while the task is engine-backed)."""
         state: dict[str, Any] = {
             "name": self.name,
             "spec": _spec_to_dict(self.task),
             "adaptation": _adaptation_to_dict(self.sampler.config),
             "window": self.window,
             "window_kind": self.window_kind.value,
-            "next_due": self.next_due,
-            "samples_taken": self.samples_taken,
-            "alerts": [[a.time_index, a.value, a.threshold]
-                       for a in self.alerts],
+            "next_due": next_due,
+            "samples_taken": samples_taken,
+            "alerts": alerts,
             "trigger_task": self.trigger_task,
             "trigger_level": self.trigger_level,
             "suspend_interval": self.suspend_interval,
@@ -219,7 +232,7 @@ class TaskState:
             # bit-identical to an uninterrupted run's, floating-point
             # accumulation history included.
             "window_sum": self._window_sum,
-            "sampler": self.sampler.state_dict(),
+            "sampler": sampler,
         }
         if self.task_type != "value":
             # Typed-task keys are emitted only when present so value-task
@@ -328,9 +341,12 @@ def _spec_from_dict(entry: dict[str, Any]) -> TaskSpec:
     )
 
 
+_ADAPTATION_FIELDS = tuple(f.name
+                           for f in dataclass_fields(AdaptationConfig))
+
+
 def _adaptation_to_dict(config: AdaptationConfig) -> dict[str, Any]:
-    return {f.name: getattr(config, f.name)
-            for f in dataclass_fields(AdaptationConfig)}
+    return {name: getattr(config, name) for name in _ADAPTATION_FIELDS}
 
 
 def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
@@ -366,6 +382,18 @@ class MonitoringService:
         # keeps registration, removal and restore O(1) per task.
         self._local_refs: dict[str, set[str]] = {}
         self._remote_refs: dict[str, set[str]] = {}
+        # Alerts raised by any task so far; owners (shard workers) read
+        # deltas instead of counting through per-alert callbacks.
+        self.alerts_fired = 0
+        # Columnar alert log: (rows, steps, values) chunks appended by
+        # offer_columns and materialised into TaskState.alerts only when
+        # a history is read (DESIGN.md S31). Entries of rows that left
+        # the engine are skipped.
+        self._alert_log: list[tuple[np.ndarray, np.ndarray,
+                                    np.ndarray]] = []
+        # Engine-backed tasks with an on_alert callback; while non-zero,
+        # offer_columns materialises each batch's alerts synchronously.
+        self._soa_callbacks = 0
         if soa:
             from repro.core.soa import SoaSamplerEngine
             self._soa = SoaSamplerEngine()
@@ -408,9 +436,23 @@ class MonitoringService:
             engine.has_offered[row] = True
         state.soa_row = row
         self._soa_rows[row] = state
+        if state.on_alert is not None:
+            self._soa_callbacks += 1
 
-    def _sync_soa(self, state: TaskState) -> None:
-        """Copy a row's authoritative state back onto the scalar fields."""
+    def _drop_soa_row(self, state: TaskState) -> None:
+        self._soa.deactivate(state.soa_row)
+        del self._soa_rows[state.soa_row]
+        state.soa_row = -1
+        if state.on_alert is not None:
+            self._soa_callbacks -= 1
+
+    def _evict_soa(self, state: TaskState) -> None:
+        """Hand an engine-backed task back to its scalar sampler."""
+        if state.soa_row < 0:
+            return
+        # The scalar path appends to state.alerts directly, so the row's
+        # logged alerts must land there first.
+        self._flush_alerts()
         engine = self._soa
         row = state.soa_row
         state.sampler.load_state_dict(engine.row_state_dict(row))
@@ -418,14 +460,58 @@ class MonitoringService:
         state.samples_taken = int(engine.samples_taken[row])
         if engine.has_offered[row]:
             self._last_seen[state.name] = float(engine.last_offered[row])
+        self._drop_soa_row(state)
 
-    def _evict_soa(self, state: TaskState) -> None:
-        if state.soa_row < 0:
+    def _flush_alerts(self) -> None:
+        """Materialise the columnar alert log, in firing order.
+
+        Each logged violation becomes an :class:`Alert` on its task's
+        history and fires the task's ``on_alert`` callback; rows whose
+        task was removed meanwhile are skipped.
+        """
+        log = self._alert_log
+        if not log:
             return
-        self._sync_soa(state)
-        self._soa.deactivate(state.soa_row)
-        self._soa_rows.pop(state.soa_row, None)
-        state.soa_row = -1
+        self._alert_log = []
+        get = self._soa_rows.get
+        for rows, steps, values in log:
+            for row, step, value in zip(rows.tolist(), steps.tolist(),
+                                        values.tolist()):
+                state = get(row)
+                if state is None:
+                    continue
+                alert = Alert(time_index=step, value=value,
+                              threshold=state.task.threshold)
+                state.alerts.append(alert)
+                if state.on_alert is not None:
+                    state.on_alert(alert)
+
+    def _pending_alerts(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The log's ``(steps, values)`` per live row, firing order kept.
+
+        Compacts the log into one row-sorted chunk as a side effect, so
+        repeated snapshots neither re-merge many small chunks nor turn
+        the log into :class:`Alert` objects.
+        """
+        log = self._alert_log
+        if not log:
+            return {}
+        rows = np.concatenate([chunk[0] for chunk in log])
+        steps = np.concatenate([chunk[1] for chunk in log])
+        values = np.concatenate([chunk[2] for chunk in log])
+        order = np.argsort(rows, kind="stable")
+        rows, steps, values = rows[order], steps[order], values[order]
+        uniq, starts = np.unique(rows, return_index=True)
+        dead = [row for row in uniq.tolist() if row not in self._soa_rows]
+        if dead:
+            keep = ~np.isin(rows, dead)
+            rows, steps, values = rows[keep], steps[keep], values[keep]
+            uniq, starts = np.unique(rows, return_index=True)
+        self._alert_log = [(rows, steps, values)] if len(rows) else []
+        bounds = starts.tolist() + [len(rows)]
+        return {row: (steps[bounds[i]:bounds[i + 1]],
+                      values[bounds[i]:bounds[i + 1]])
+                for i, row in enumerate(uniq.tolist())}
 
     @property
     def soa_engine(self):
@@ -594,9 +680,9 @@ class MonitoringService:
         """
         state = self._state(name)  # must exist
         if state.soa_row >= 0:
-            self._soa.deactivate(state.soa_row)
-            self._soa_rows.pop(state.soa_row, None)
-            state.soa_row = -1
+            # The row's logged alerts die with the task: flushes and
+            # snapshots skip rows that left the engine.
+            self._drop_soa_row(state)
         del self._tasks[name]
         self._last_seen.pop(name, None)
         _relink(self._local_refs, name, state.trigger_task, None)
@@ -892,6 +978,7 @@ class MonitoringService:
 
         alert = None
         if decision.violation:
+            self.alerts_fired += 1
             alert = state.make_alert(step, monitored)
             state.alerts.append(alert)
             if state.on_alert is not None:
@@ -954,6 +1041,7 @@ class MonitoringService:
 
         alert = None
         if sampler.last_violation:
+            self.alerts_fired += 1
             alert = state.make_alert(step, monitored)
             state.alerts.append(alert)
             if state.on_alert is not None:
@@ -996,6 +1084,9 @@ class MonitoringService:
                     interval: int, flags: int, beta: float) -> None:
         """Alert + trace fan-out for one consumed SoA offer."""
         if flags & 4:
+            self.alerts_fired += 1
+            # Logged columnar alerts fired first; keep the firing order.
+            self._flush_alerts()
             alert = Alert(time_index=step, value=monitored,
                           threshold=state.task.threshold)
             state.alerts.append(alert)
@@ -1067,49 +1158,61 @@ class MonitoringService:
                 consumed += 1
                 fb_intervals.append(interval)
         if len(res.viol_rows):
-            soa_rows = self._soa_rows
-            for row, step, value in zip(res.viol_rows.tolist(),
-                                        res.viol_steps.tolist(),
-                                        res.viol_values.tolist()):
-                state = soa_rows.get(row)
-                if state is None:
-                    continue
-                alert = Alert(time_index=step, value=value,
-                              threshold=state.task.threshold)
-                state.alerts.append(alert)
-                if state.on_alert is not None:
-                    state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            for i in range(len(res.adapt_rows)):
-                state = self._soa_rows.get(int(res.adapt_rows[i]))
-                if state is None:
-                    continue
-                flags = int(res.adapt_flags[i])
-                trace.emit("interval_adapted", task=state.name,
-                           shard=self._trace_shard,
-                           step=int(res.adapt_steps[i]),
-                           interval=int(res.adapt_intervals[i]),
-                           grew=bool(flags & 1), reset=bool(flags & 2),
-                           beta=float(res.adapt_betas[i]))
-            for i in range(len(res.viol_rows)):
-                state = self._soa_rows.get(int(res.viol_rows[i]))
-                if state is None:
-                    continue
-                trace.emit("violation", task=state.name,
-                           shard=self._trace_shard,
-                           step=int(res.viol_steps[i]),
-                           value=float(res.viol_values[i]),
-                           threshold=state.task.threshold)
+            self.alerts_fired += len(res.viol_rows)
+            self._alert_log.append(
+                (res.viol_rows, res.viol_steps, res.viol_values))
+            if self._soa_callbacks:
+                self._flush_alerts()
+        if self._trace is not None:
+            self._trace_columns(res)
         intervals = res.consumed_intervals
         if fb_intervals:
             intervals = np.concatenate(
                 [intervals, np.asarray(fb_intervals, dtype=np.int64)])
         return applied, consumed, rejected, intervals
 
+    def _trace_columns(self, res: Any) -> None:
+        """One ``interval_adapted`` and one ``violation`` trace chunk for
+        a :meth:`offer_columns` batch."""
+        trace = self._trace
+        shard = self._trace_shard
+        task_of = self._soa_rows.__getitem__
+        if len(res.adapt_rows):
+            rows, steps, intervals, flags, betas = self._live(
+                res.adapt_rows, res.adapt_steps, res.adapt_intervals,
+                res.adapt_flags, res.adapt_betas)
+            trace.emit_many(
+                "interval_adapted",
+                [task_of(row).name for row in rows.tolist()], shard,
+                step=steps.tolist(), interval=intervals.tolist(),
+                grew=(flags & 1).astype(bool).tolist(),
+                reset=(flags & 2).astype(bool).tolist(),
+                beta=betas.tolist())
+        if len(res.viol_rows):
+            rows, steps, values = self._live(
+                res.viol_rows, res.viol_steps, res.viol_values)
+            states = [task_of(row) for row in rows.tolist()]
+            trace.emit_many(
+                "violation", [state.name for state in states], shard,
+                step=steps.tolist(), value=values.tolist(),
+                threshold=[state.task.threshold for state in states])
+
+    def _live(self, rows: np.ndarray,
+              *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(rows, *columns)`` minus the positions whose row left the
+        engine after the batch ran (an alert callback removed or evicted
+        its task)."""
+        live = self._soa.active[rows]
+        if live.all():
+            return (rows, *columns)
+        return tuple(column[live] for column in (rows, *columns))
+
     def alerts(self, name: str) -> list[Alert]:
         """Alerts raised by a task so far (chronological)."""
-        return list(self._state(name).alerts)
+        state = self._state(name)
+        if state.soa_row >= 0:
+            self._flush_alerts()
+        return list(state.alerts)
 
     def samples_taken(self, name: str) -> int:
         """Sampling operations consumed by a task so far."""
@@ -1168,16 +1271,45 @@ class MonitoringService:
         the trigger last-seen map — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
-        SoA-backed tasks are synced back to their scalar fields first, so
-        the snapshot format — and its fingerprint — is identical whether
-        the service ran columnar or scalar.
+        SoA-backed tasks are serialised straight from their engine
+        columns and the columnar alert log, so the snapshot format — and
+        its fingerprint — is identical whether the service ran columnar or
+        scalar, and the scalar samplers are left untouched.
         """
-        for state in self._soa_rows.values():
-            self._sync_soa(state)
+        soa: dict[int, tuple[dict[str, Any], int, int]] = {}
+        pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if self._soa_rows:
+            engine = self._soa
+            rows = list(self._soa_rows)
+            picked = np.asarray(rows, dtype=np.int64)
+            soa = dict(zip(rows, zip(engine.rows_state_dicts(picked),
+                                     engine.next_due[picked].tolist(),
+                                     engine.samples_taken[picked].tolist())))
+            last_seen = self._last_seen
+            for state, offered, value in zip(
+                    self._soa_rows.values(),
+                    engine.has_offered[picked].tolist(),
+                    engine.last_offered[picked].tolist()):
+                if offered:
+                    last_seen[state.name] = value
+            pending = self._pending_alerts()
+        tasks = []
+        for state in self._tasks.values():
+            if state.soa_row < 0:
+                tasks.append(state.state_dict())
+                continue
+            alerts = [[a.time_index, a.value, a.threshold]
+                      for a in state.alerts]
+            logged = pending.get(state.soa_row)
+            if logged is not None:
+                threshold = state.task.threshold
+                alerts += [[step, value, threshold] for step, value in
+                           zip(logged[0].tolist(), logged[1].tolist())]
+            tasks.append(state._state_dict(*soa[state.soa_row], alerts))
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": _adaptation_to_dict(self._config),
-            "tasks": [state.state_dict() for state in self._tasks.values()],
+            "tasks": tasks,
             "last_seen": dict(self._last_seen),
         }
 

@@ -14,6 +14,12 @@ events are evicted, never blocking the hot path — ``dropped`` counts the
 evictions so readers know the history is incomplete. Emission is O(1)
 (a deque append); un-traced deployments hold :data:`NULL_TRACE` and pay
 one ``enabled`` check.
+
+Batch producers (the columnar offer path) append whole *chunks* with
+:meth:`DecisionTrace.emit_many`: one entry holding ``n`` events of one
+kind as parallel columns, expanded into per-event dicts only when read
+(DESIGN.md S29). Capacity, eviction, ``dropped`` and sequence numbers
+still count events, not entries.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import pathlib
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -56,6 +62,47 @@ TRACE_EVENT_KINDS = (
 """Kinds emitted by the instrumented runtime (extensible by callers)."""
 
 
+class _Chunk:
+    """``len(tasks)`` events of one kind, stored as columns.
+
+    Event ``i`` carries sequence number ``seq + i`` and the values
+    ``columns[key][i]``; events before ``start`` have been evicted.
+    """
+
+    __slots__ = ("seq", "ts", "kind", "tasks", "shard", "columns", "start")
+
+    def __init__(self, seq: int, ts: float, kind: str,
+                 tasks: Sequence[str | None], shard: int | str | None,
+                 columns: dict[str, Sequence[Any]], start: int):
+        self.seq = seq
+        self.ts = ts
+        self.kind = kind
+        self.tasks = tasks
+        self.shard = shard
+        self.columns = columns
+        self.start = start
+
+    def expand(self, first: int, stop: int) -> list[dict[str, Any]]:
+        """Events ``first..stop-1`` as the dicts :meth:`DecisionTrace.emit`
+        would have built."""
+        out = []
+        seq, ts, kind, shard = self.seq, self.ts, self.kind, self.shard
+        items = list(self.columns.items())
+        tasks = self.tasks
+        for i in range(first, stop):
+            event: dict[str, Any] = {"seq": seq + i, "ts_monotonic": ts,
+                                     "kind": kind}
+            task = tasks[i]
+            if task is not None:
+                event["task"] = task
+            if shard is not None:
+                event["shard"] = shard
+            for key, column in items:
+                event[key] = column[i]
+            out.append(event)
+        return out
+
+
 class DecisionTrace:
     """Fixed-capacity ring buffer of structured decision events.
 
@@ -71,7 +118,9 @@ class DecisionTrace:
             raise ConfigurationError(
                 f"trace capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
+        # Entries are single event dicts or _Chunks; _size counts events.
+        self._ring: deque[dict[str, Any] | _Chunk] = deque()
+        self._size = 0
         self._next_seq = 0
         self.dropped = 0
 
@@ -93,13 +142,62 @@ class DecisionTrace:
             event["shard"] = shard
         if data:
             event.update(data)
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
+        if self._size == self.capacity:
+            self._evict(1)
+        self._ring.append(event)
+        self._size += 1
         return seq
 
+    def emit_many(self, kind: str, tasks: Sequence[str | None],
+                  shard: int | str | None = None,
+                  **columns: Sequence[Any]) -> int:
+        """Append ``len(tasks)`` events of one kind as a single chunk.
+
+        Event ``i`` reads back exactly as ``emit(kind, task=tasks[i],
+        shard=shard, **{k: columns[k][i]})`` would have, except that all
+        events of the chunk share one ``ts_monotonic``. Each column must
+        have ``len(tasks)`` JSON-able values; the trace keeps the
+        sequences by reference, so callers must not mutate them
+        afterwards. Returns the first event's sequence number (the chunk
+        takes ``next_seq .. next_seq + len(tasks) - 1``).
+        """
+        seq = self._next_seq
+        n = len(tasks)
+        if n == 0:
+            return seq
+        self._next_seq = seq + n
+        # A chunk larger than the ring keeps only its newest events.
+        start = max(0, n - self.capacity)
+        self.dropped += start
+        excess = self._size + n - start - self.capacity
+        if excess > 0:
+            self._evict(excess)
+        self._ring.append(_Chunk(seq, time.monotonic(), kind, tasks, shard,
+                                 columns, start))
+        self._size += n - start
+        return seq
+
+    def _evict(self, count: int) -> None:
+        """Drop the ``count`` oldest retained events."""
+        self.dropped += count
+        self._size -= count
+        ring = self._ring
+        while count:
+            head = ring[0]
+            if type(head) is dict:
+                ring.popleft()
+                count -= 1
+                continue
+            left = len(head.tasks) - head.start
+            if left <= count:
+                ring.popleft()
+                count -= left
+            else:
+                head.start += count
+                count = 0
+
     def __len__(self) -> int:
-        return len(self._events)
+        return self._size
 
     @property
     def next_seq(self) -> int:
@@ -116,9 +214,21 @@ class DecisionTrace:
         """
         if since < 0:
             raise ValueError(f"since must be >= 0, got {since}")
-        out = [event for event in self._events if event["seq"] >= since]
-        if limit is not None and len(out) > limit:
-            out = out[:limit]
+        if limit is not None and limit < 0:
+            return self.drain(since)[:limit]
+        want = self._size if limit is None else limit
+        out: list[dict[str, Any]] = []
+        for entry in self._ring:
+            if len(out) >= want:
+                break
+            if type(entry) is dict:
+                if entry["seq"] >= since:
+                    out.append(entry)
+                continue
+            first = max(entry.start, since - entry.seq)
+            stop = min(len(entry.tasks), first + want - len(out))
+            if first < stop:
+                out.extend(entry.expand(first, stop))
         return out
 
     def dump_jsonl(self, path: pathlib.Path | str,
@@ -151,6 +261,11 @@ class NullTrace:
 
     def emit(self, kind: str, task: str | None = None,
              shard: int | str | None = None, **data: Any) -> int:
+        return 0
+
+    def emit_many(self, kind: str, tasks: Sequence[str | None],
+                  shard: int | str | None = None,
+                  **columns: Sequence[Any]) -> int:
         return 0
 
     def __len__(self) -> int:

@@ -172,7 +172,9 @@ class TestObserveFastProperties:
             intervals_fast.extend(i)
             if s:
                 t = s[-1] + max(1, fast.interval)
-            if end < len(trace) and t >= end:
+            # Retune only when another sample follows inside the trace:
+            # the reference never applies a retune past its last sample.
+            if end <= t < len(trace):
                 active = [b for b in boundaries if b <= t]
                 if active:
                     fast.error_allowance = plan[active[-1]]

@@ -70,6 +70,7 @@ class TestRingBuffer:
     def test_null_trace_is_inert(self):
         null = NullTrace()
         assert null.emit("violation", task="x", step=1) == 0
+        assert null.emit_many("violation", ["x", "y"], 0, step=[1, 2]) == 0
         assert null.drain() == []
         assert null.to_jsonl() == ""
         assert len(null) == 0

@@ -1,9 +1,10 @@
 """Core hot-path benchmarks: fused fast path vs. reference (DESIGN.md S27).
 
-Times the three optimised layers against their reference twins on the
-same synthetic trace the ``bench_core`` CLI uses, asserts the fast path
-is actually faster, and — most importantly — asserts the decision
-streams are *identical* before any timing result counts. The standalone
+Times the optimised layers on the same synthetic trace the
+``bench_core`` CLI uses and — most importantly — asserts their decision
+streams are *identical* to the readable reference step
+(:class:`repro.testkit.oracle.ReferenceSampler`) before any timing
+result counts. The standalone
 CLI (``python -m repro.experiments.bench_core``) runs the same
 comparison on a ~1M-point trace and writes ``BENCH_core.json``.
 """
@@ -17,6 +18,7 @@ from repro.core.task import TaskSpec
 from repro.experiments.bench_core import (_evaluate_sampling_legacy,
                                           synthetic_trace)
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.testkit.oracle import ReferenceSampler
 
 N = 50_000
 SEED = 7
@@ -29,7 +31,7 @@ def _bench_task(trace: np.ndarray) -> TaskSpec:
 
 
 def test_observe_fast_throughput(benchmark, report):
-    """Per-call observe_fast vs. observe at every grid point."""
+    """Per-call observe_fast vs. the oracle at every grid point."""
     trace = synthetic_trace(N, SEED)
     values = trace.tolist()
     task = _bench_task(trace)
@@ -45,9 +47,9 @@ def test_observe_fast_throughput(benchmark, report):
     benchmark.pedantic(run_fast, rounds=3, iterations=1)
 
     # Equivalence gate: the fast surface must leave the sampler in the
-    # exact state the reference surface does.
+    # exact state the oracle does.
     fast = run_fast()
-    ref = ViolationLikelihoodSampler(task, config)
+    ref = ReferenceSampler(task, config)
     for t in range(N):
         ref.observe(values[t], t)
     assert fast.state_dict() == ref.state_dict()
@@ -66,7 +68,7 @@ def test_run_adaptive_fused_vs_reference(benchmark, report):
     fast = benchmark.pedantic(lambda: run_adaptive(trace, task, config),
                               rounds=3, iterations=1)
     reference = run_sampler_on_trace(
-        trace, ViolationLikelihoodSampler(task, config), task.threshold,
+        trace, ReferenceSampler(task, config), task.threshold,
         task.direction)
     assert np.array_equal(reference.sampled_indices, fast.sampled_indices)
     assert np.array_equal(reference.intervals, fast.intervals)

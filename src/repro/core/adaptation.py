@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.likelihood import (gaussian_misdetection_estimate,
-                                   gaussian_misdetection_estimate_fused,
-                                   misdetection_bound,
+from repro.core.likelihood import (gaussian_misdetection_estimate_fused,
                                    misdetection_bound_fused)
 from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
@@ -142,6 +140,14 @@ class SamplingDecision:
     reset: bool = False
     violation: bool = False
 
+    @classmethod
+    def from_flags(cls, interval: int, beta: float,
+                   flags: int) -> "SamplingDecision":
+        """The decision for outcome bits (1 grew, 2 reset, 4 violation)."""
+        return cls(next_interval=interval, misdetection_bound=beta,
+                   grew=bool(flags & 1), reset=bool(flags & 2),
+                   violation=bool(flags & 4))
+
 
 @dataclass(frozen=True, slots=True)
 class CoordinationStats:
@@ -188,18 +194,17 @@ class ViolationLikelihoodSampler:
     The coordinator may change :attr:`error_allowance` at any time
     (distributed coordination reallocates allowance between monitors).
 
-    Two equivalent drive surfaces exist (DESIGN.md S27): :meth:`observe`
-    is the reference implementation (per-step likelihood kernels, a
-    :class:`SamplingDecision` per call) and :meth:`observe_fast` is the
-    allocation-light twin used by the fused experiment drivers and the
-    runtime's hot ingest path. Both mutate the same state identically —
-    the property-based equivalence suite and the core-hotpath CI job
-    prove their decision streams bit-equal — so callers may use either
-    (or mix them) freely.
+    The adaptation step has one implementation, :meth:`observe_fast`
+    (fused likelihood kernels, plain-int return); :meth:`observe` wraps
+    it in a :class:`SamplingDecision` and :meth:`run_trace` inlines it
+    over a whole trace (DESIGN.md S27). The readable step the paper
+    describes lives on as the equivalence oracle
+    :class:`repro.testkit.oracle.ReferenceSampler`, which the property
+    suite and the core-hotpath CI job compare this class against.
     """
 
     __slots__ = ("_task", "_config", "_sign", "_threshold",
-                 "_error_allowance", "_stats", "_estimate", "_estimate_fast",
+                 "_error_allowance", "_stats", "_estimate_fast",
                  "_interval", "_streak", "_last_value", "_last_time",
                  "_observations", "_grow_events", "_reset_events",
                  "_coord_sum_r", "_coord_sum_log_e", "_coord_n",
@@ -217,11 +222,9 @@ class ViolationLikelihoodSampler:
             restart_after=self._config.stats_restart,
             min_fresh=self._config.min_samples,
         )
-        chebyshev = self._config.estimator == "chebyshev"
-        self._estimate = (misdetection_bound if chebyshev
-                          else gaussian_misdetection_estimate)
-        self._estimate_fast = (misdetection_bound_fused if chebyshev
-                               else gaussian_misdetection_estimate_fused)
+        self._estimate_fast = (
+            misdetection_bound_fused if self._config.estimator == "chebyshev"
+            else gaussian_misdetection_estimate_fused)
         self._interval = 1
         self._streak = 0
         self._last_value: float | None = None
@@ -233,13 +236,12 @@ class ViolationLikelihoodSampler:
         self._coord_sum_r = 0.0
         self._coord_sum_log_e = 0.0
         self._coord_n = 0
-        # Hoisted invariants for the fast path (config and task are
-        # immutable, so these can never drift from the reference reads).
+        # Hoisted invariants of the step (config and task are immutable).
         self._max_interval = task.max_interval
         self._patience = self._config.patience
         self._min_samples = self._config.min_samples
         self._one_minus_slack = 1.0 - self._config.slack_ratio
-        # Outcome of the most recent observation (either drive surface).
+        # Outcome of the most recent observation.
         self._last_beta = 1.0
         self._last_flags = 0
 
@@ -299,110 +301,38 @@ class ViolationLikelihoodSampler:
         had earned before the guard engaged — the arm edge itself is
         evidence the pre-suspension statistics are stale. Adaptation
         counters are untouched; this is an external scheduling decision,
-        not an adaptation event, so both drive surfaces stay bit-equal.
+        not an adaptation event.
         """
         self._interval = 1
         self._streak = 0
 
     def observe(self, value: float, time_index: int) -> SamplingDecision:
-        """Absorb a sampled value and return the adaptation decision.
+        """Absorb a sampled value and return the adaptation decision:
+        :meth:`observe_fast` (same arguments, same errors) with its outcome
+        as a :class:`SamplingDecision`."""
+        interval = self.observe_fast(value, time_index)
+        return SamplingDecision.from_flags(interval, self._last_beta,
+                                           self._last_flags)
+
+    def observe_fast(self, value: float, time_index: int) -> int:
+        """Absorb a sampled value; return the next interval as a plain int.
+
+        The adaptation step (paper SIII-B): Welford update of ``delta``,
+        the mis-detection bound from the fused kernels
+        (:func:`~repro.core.likelihood.misdetection_bound_fused` /
+        :func:`~repro.core.likelihood.gaussian_misdetection_estimate_fused`),
+        then the AIMD interval change. The outcome stays readable via
+        :attr:`last_misdetection_bound` and :attr:`last_flags`. Every call
+        adds to the ``volley_sampler_*`` counters when they are
+        instrumented.
 
         Args:
             value: the monitored state value just sampled.
             time_index: grid position of the sample in units of the default
                 interval; must be strictly increasing across calls.
 
-        Returns:
-            The :class:`SamplingDecision` whose ``next_interval`` tells the
-            caller when to sample next.
-
         Raises:
             ValueError: if ``time_index`` does not advance.
-        """
-        v = self._sign * value
-        violation = v > self._threshold
-        self._observations += 1
-
-        if self._last_time is not None:
-            steps = time_index - self._last_time
-            if steps <= 0:
-                raise ValueError(
-                    f"time_index must increase: {time_index} after "
-                    f"{self._last_time}")
-            # delta_hat = (v(t) - v(t - I)) / I  (paper SIII-B)
-            self._stats.update((v - self._last_value) / steps)
-        self._last_value = v
-        self._last_time = time_index
-
-        cfg = self._config
-        err = self._error_allowance
-        if self._stats.effective_count >= cfg.min_samples:
-            beta = self._estimate(v, self._threshold, self._stats.mean,
-                                  self._stats.std, self._interval)
-        else:
-            beta = 1.0
-
-        grew = False
-        reset = False
-        if err <= 0.0:
-            # A zero allowance degenerates to periodic default sampling.
-            if self._interval != 1:
-                self._interval = 1
-                reset = True
-            self._streak = 0
-        elif beta > err:
-            reset = self._interval != 1
-            self._interval = 1
-            self._streak = 0
-            if reset:
-                self._reset_events += 1
-        elif beta <= (1.0 - cfg.slack_ratio) * err:
-            self._streak += 1
-            if self._streak >= cfg.patience:
-                self._streak = 0
-                if self._interval < self._task.max_interval:
-                    self._interval += 1
-                    grew = True
-                    self._grow_events += 1
-        else:
-            self._streak = 0
-
-        # Coordination statistics: updating-period averages of r_i and e_i.
-        # r_i is the cost reduction available from growing the interval by
-        # one (1/I - 1/(I+1), the marginal saving in samples per step);
-        # a monitor already at the maximum interval cannot convert more
-        # allowance into cost reduction, so its potential r_i is zero.
-        # e_i = beta(I)/(1-gamma) is the allowance that would let it grow
-        # (from the adaptation rule's growth condition); it is averaged
-        # geometrically because instantaneous bounds span many orders of
-        # magnitude and the *typical* requirement is what allowance buys.
-        interval = self._interval
-        if interval < self._task.max_interval:
-            self._coord_sum_r += 1.0 / interval - 1.0 / (interval + 1.0)
-        self._coord_sum_log_e += math.log(
-            max(beta / (1.0 - cfg.slack_ratio), _MIN_ERROR_NEEDED))
-        self._coord_n += 1
-
-        self._last_beta = beta
-        self._last_flags = ((1 if grew else 0) | (2 if reset else 0)
-                            | (4 if violation else 0))
-        return SamplingDecision(next_interval=self._interval,
-                                misdetection_bound=beta,
-                                grew=grew, reset=reset, violation=violation)
-
-    def observe_fast(self, value: float, time_index: int) -> int:
-        """Absorb a sampled value; return the next interval as a plain int.
-
-        The allocation-light twin of :meth:`observe`: identical state
-        transitions and identical raised errors, but no
-        :class:`SamplingDecision` is constructed, the mis-detection bound
-        is computed by the fused kernels
-        (:func:`~repro.core.likelihood.misdetection_bound_fused` /
-        :func:`~repro.core.likelihood.gaussian_misdetection_estimate_fused`,
-        bit-equal to the reference), and the per-call invariants are read
-        from hoisted slots. The full outcome of the step remains readable
-        via :attr:`last_misdetection_bound`, :attr:`last_grew`,
-        :attr:`last_reset` and :attr:`last_violation`.
         """
         v = self._sign * value
         flags = 4 if v > self._threshold else 0
@@ -454,7 +384,8 @@ class ViolationLikelihoodSampler:
         else:
             self._streak = 0
 
-        # Coordination statistics — see observe() for the rationale.
+        # Coordination statistics: running sums behind the averages of
+        # r_i and e_i that CoordinationStats reports.
         if interval < self._max_interval:
             self._coord_sum_r += 1.0 / interval - 1.0 / (interval + 1.0)
         self._coord_sum_log_e += math.log(
@@ -492,8 +423,9 @@ class ViolationLikelihoodSampler:
         the loop finishes, so per-step attribute traffic and method-call
         dispatch disappear from the inner loop. State transitions, raised
         errors and the resulting ``(sampled, intervals)`` streams are
-        identical to the step-by-step surfaces; the equivalence suite
-        checks all three against :meth:`observe`.
+        identical to stepping :meth:`observe_fast`; the equivalence suite
+        checks all three against the oracle
+        (:class:`repro.testkit.oracle.ReferenceSampler`).
 
         Falls back to a plain :meth:`observe_fast` loop when the sampler
         was built around a custom statistics object (the inlined Welford
@@ -738,19 +670,11 @@ class ViolationLikelihoodSampler:
         return self._last_beta
 
     @property
-    def last_grew(self) -> bool:
-        """Whether the most recent observation grew the interval."""
-        return bool(self._last_flags & 1)
-
-    @property
-    def last_reset(self) -> bool:
-        """Whether the most recent observation reset the interval."""
-        return bool(self._last_flags & 2)
-
-    @property
-    def last_violation(self) -> bool:
-        """Whether the most recently observed value violated the threshold."""
-        return bool(self._last_flags & 4)
+    def last_flags(self) -> int:
+        """Outcome bits of the most recent observation: 1 grew the
+        interval, 2 reset it, 4 the value violated (the encoding of
+        ``SoaSamplerEngine.last_flags``; 0 initially)."""
+        return self._last_flags
 
     def state_dict(self) -> dict[str, object]:
         """Return the sampler's mutable state as a JSON-able dict.

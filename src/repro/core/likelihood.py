@@ -25,11 +25,13 @@ frame (see :meth:`repro.types.ThresholdDirection.orient` for lower
 thresholds).
 
 Kernel layer (DESIGN.md S27): the per-step functions above are the
-*reference oracle* — obviously-correct, validated once per call, and kept
-unchanged. The ``*_fused`` twins compute bit-identical values with the
-invariants hoisted out of the loop (``gap0 = T - v``, ``i * std`` only)
-and the Cantelli/Gaussian term inlined, so one adaptation step costs one
-function call instead of ``I`` of them. :func:`max_admissible_interval`
+*reference kernels* of the equivalence oracle
+(:class:`repro.testkit.oracle.ReferenceSampler`) — obviously-correct,
+validated once per call, and kept unchanged. The ``*_fused`` twins, which
+the sampler runs, compute bit-identical values with the invariants
+hoisted out of the loop (``gap0 = T - v``, ``i * std`` only) and the
+Cantelli/Gaussian term inlined, so one adaptation step costs one call
+instead of ``I`` of them. :func:`max_admissible_interval`
 inverts Cantelli's inequality in closed form to cap the search for the
 largest admissible interval, then verifies with one incremental fused
 pass — never by re-probing ``beta(I)`` per candidate.

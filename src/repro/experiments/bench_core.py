@@ -1,14 +1,14 @@
 """Core hot-path benchmark (``python -m repro.experiments.bench_core``).
 
-Measures the sampling core's two drive surfaces against each other on a
-~1M-point synthetic trace and writes the numbers to ``BENCH_core.json``:
+Measures the sampling core against its reference oracle
+(:class:`~repro.testkit.oracle.ReferenceSampler`) on a ~1M-point
+synthetic trace and writes the numbers to ``BENCH_core.json``:
 
-* ``observe`` — per-call throughput of the reference
-  :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe` vs.
-  the fused :meth:`observe_fast` (every grid point fed, worst-case
-  estimation load);
-* ``run_adaptive`` — end-to-end wall time of a full adaptive run through
-  the reference driver (:func:`~repro.experiments.runner.run_sampler_on_trace`,
+* ``observe`` — per-call throughput of the oracle's ``observe`` vs.
+  :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe_fast`
+  (every grid point fed, worst-case estimation load);
+* ``run_adaptive`` — end-to-end wall time of a full adaptive run of the
+  oracle through the reference driver (:func:`~repro.experiments.runner.run_sampler_on_trace`,
   one ``SamplingDecision`` per step) vs. the fused driver
   (:func:`~repro.experiments.runner.run_adaptive`);
 * ``evaluate_sampling`` — the vectorized scorer vs. the seed's
@@ -24,8 +24,9 @@ Measures the sampling core's two drive surfaces against each other on a
   guard that keeps instrumentation honest about its hot-path cost.
 
 Before timing anything the CLI proves the fast path is *exactly*
-equivalent to the reference: both drivers are run over the same trace for
-both estimators (``chebyshev`` and ``gaussian``) and their
+equivalent to the oracle: both drivers are run over the same trace for
+both estimators (``chebyshev`` and ``gaussian``), at the configured
+allowance and at ``err = 1`` (where ``beta`` can equal it), and their
 ``(sampled_indices, intervals, beta)`` streams must match bit-for-bit,
 accuracy summaries included. A mismatch fails the run regardless of any
 throughput result. ``--min-speedup`` turns the ``run_adaptive`` speedup
@@ -39,6 +40,7 @@ import json
 import pathlib
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -49,6 +51,7 @@ from repro.core.likelihood import (max_admissible_interval,
                                    misdetection_bound)
 from repro.core.task import TaskSpec
 from repro.experiments.runner import (run_adaptive, run_sampler_on_trace)
+from repro.testkit.oracle import ReferenceSampler
 
 __all__ = ["main", "run_bench", "synthetic_trace"]
 
@@ -122,15 +125,15 @@ def _evaluate_sampling_legacy(values: np.ndarray, threshold: float,
 
 def _check_equivalence(trace: np.ndarray, task: TaskSpec,
                        estimator: str) -> dict[str, Any]:
-    """Prove fast-path and reference decision streams are identical.
+    """Prove fast-path and oracle decision streams are identical.
 
-    Runs the reference driver (``observe``) and the fused driver
-    (``observe_fast``) over the same trace, then replays the schedule
-    step-by-step collecting per-sample ``beta`` from both surfaces.
+    Runs the oracle's reference driver (``observe``) and the fused driver
+    (``run_trace``) over the same trace, then replays the schedule
+    step-by-step collecting per-sample ``beta`` from both samplers.
     """
     config = AdaptationConfig(estimator=estimator)
     reference = run_sampler_on_trace(
-        trace, ViolationLikelihoodSampler(task, config), task.threshold,
+        trace, ReferenceSampler(task, config), task.threshold,
         task.direction)
     fast = run_adaptive(trace, task, config)
 
@@ -139,7 +142,7 @@ def _check_equivalence(trace: np.ndarray, task: TaskSpec,
         and np.array_equal(reference.intervals, fast.intervals)
         and reference.accuracy == fast.accuracy)
 
-    ref_sampler = ViolationLikelihoodSampler(task, config)
+    ref_sampler = ReferenceSampler(task, config)
     fast_sampler = ViolationLikelihoodSampler(task, config)
     betas_equal = True
     for t in reference.sampled_indices.tolist():
@@ -152,6 +155,7 @@ def _check_equivalence(trace: np.ndarray, task: TaskSpec,
             break
     return {
         "estimator": estimator,
+        "error_allowance": task.error_allowance,
         "samples": int(reference.sampled_indices.size),
         "schedule_identical": bool(schedule_equal),
         "beta_stream_identical": bool(betas_equal),
@@ -183,7 +187,11 @@ def run_bench(points: int = 1_000_000, repeats: int = 3, seed: int = 0,
     # --- equivalence gate -------------------------------------------------
     if not skip_equivalence:
         eq_trace = trace[:min(equivalence_points, points)]
-        checks = [_check_equivalence(eq_trace, task, est)
+        # At err = 1, beta == err on every violation sampled on a grown
+        # interval: the boundary of the reset rule's strict beta > err.
+        checks = [_check_equivalence(
+                      eq_trace, replace(task, error_allowance=err), est)
+                  for err in dict.fromkeys((error_allowance, 1.0))
                   for est in ("chebyshev", "gaussian")]
         report["equivalence"] = {
             "checked_points": int(eq_trace.size),
@@ -196,7 +204,7 @@ def run_bench(points: int = 1_000_000, repeats: int = 3, seed: int = 0,
     observe_values = trace[:n_observe].tolist()
 
     def drive_reference() -> None:
-        sampler = ViolationLikelihoodSampler(task, config)
+        sampler = ReferenceSampler(task, config)
         observe = sampler.observe
         for t in range(n_observe):
             observe(observe_values[t], t)
@@ -219,7 +227,7 @@ def run_bench(points: int = 1_000_000, repeats: int = 3, seed: int = 0,
     # --- run_adaptive end to end ------------------------------------------
     def adaptive_reference():
         return run_sampler_on_trace(
-            trace, ViolationLikelihoodSampler(task, config), task.threshold,
+            trace, ReferenceSampler(task, config), task.threshold,
             task.direction)
 
     ref_seconds, ref_result = _best_of(repeats, adaptive_reference)
@@ -320,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.bench_core",
         description="Benchmark the sampling core's fused fast path "
-                    "against the reference implementation.")
+                    "against the reference oracle.")
     parser.add_argument("--points", type=int, default=1_000_000,
                         help="trace length in grid points (default 1M)")
     parser.add_argument("--repeats", type=int, default=3,
@@ -378,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = True
     if "equivalence" in report and not report["equivalence"]["identical"]:
-        print("[bench-core] FAIL: fast path diverged from the reference",
+        print("[bench-core] FAIL: fast path diverged from the oracle",
               file=sys.stderr)
         ok = False
     if args.min_speedup is not None and ra["speedup"] < args.min_speedup:

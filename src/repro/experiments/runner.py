@@ -102,7 +102,7 @@ def _drive_fast(arr: np.ndarray, observe_fast, threshold: float,
     The trace (and trigger) are converted to Python floats once up front
     with ``tolist()`` instead of a ``float(arr[t])`` coercion per visited
     grid point. Produces schedules identical to :func:`_drive_and_score`
-    over an equivalent ``observe`` (enforced by the equivalence suite).
+    over the same scheme's ``observe``.
     """
     n = arr.size
     values = arr.tolist()
@@ -164,11 +164,11 @@ def run_adaptive(values: np.ndarray, task: TaskSpec,
                  record_intervals: bool = True) -> RunResult:
     """Run Volley's violation-likelihood sampler over a trace.
 
-    Drives the sampler through its fused whole-trace fast path
+    Drives the sampler through its fused whole-trace loop
     (:meth:`~repro.core.adaptation.ViolationLikelihoodSampler.run_trace`);
-    the schedule, intervals and accuracy are identical to driving
-    :meth:`observe` through :func:`run_sampler_on_trace` — the latter is
-    the reference the equivalence suite checks this path against.
+    the schedule, intervals and accuracy are identical to driving the
+    oracle (:class:`repro.testkit.oracle.ReferenceSampler`) through
+    :func:`run_sampler_on_trace`, as the equivalence suite checks.
     """
     arr = _as_trace(values)
     sampler = ViolationLikelihoodSampler(task, config)

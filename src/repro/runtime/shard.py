@@ -149,12 +149,11 @@ class ShardWorker:
     def apply(self, updates: list[Update]) -> None:
         """Apply a batch synchronously (the drain loop's work unit).
 
-        Drives the service through its allocation-light
-        :meth:`~repro.service.MonitoringService.offer_fast` path — same
-        behaviour as ``offer`` (equivalence-tested), minus one decision
-        object per consumed update on the hottest loop in the runtime.
-        ``alerts_fired`` grows by the service's own alert count delta, so
-        no per-alert callback is needed.
+        Drives the service through its by-name offer path,
+        :meth:`~repro.service.MonitoringService.offer_fast` (``offer`` is
+        the same path plus a decision object per consumed update, which
+        this loop does not need). ``alerts_fired`` grows by the service's
+        own alert count delta, so no per-alert callback is needed.
         """
         if self.fault_hook.enabled:
             # Chaos seam: may raise to simulate an unexpected internal

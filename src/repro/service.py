@@ -918,10 +918,7 @@ class MonitoringService:
         Callers may skip the (expensive) collection work whenever this is
         False — that skipping *is* the saving.
         """
-        state = self._state(name)
-        if state.soa_row >= 0:
-            return step >= int(self._soa.next_due[state.soa_row])
-        return step >= state.next_due
+        return step >= self.next_due(name)
 
     def next_due(self, name: str) -> int:
         """Grid step of the task's next wanted sample."""
@@ -938,76 +935,29 @@ class MonitoringService:
         scheduled sample, or ``None`` when the task was not due (the
         value still refreshes trigger state for tasks gated on this one).
 
-        Alerts fire synchronously through the task's callback.
+        Alerts fire synchronously through the task's callback. The
+        decision is :meth:`offer_fast`'s step read back from the row or
+        sampler the task had before it (a callback may drop the task).
         """
         state = self._state(name)
-        if state.soa_row >= 0:
-            interval = self._offer_soa(state, value, step)
-            if interval is None:
-                return None
-            engine = self._soa
-            flags = int(engine.last_flags[state.soa_row])
-            return SamplingDecision(
-                next_interval=interval,
-                misdetection_bound=float(engine.last_beta[state.soa_row]),
-                grew=bool(flags & 1), reset=bool(flags & 2),
-                violation=bool(flags & 4))
-        self._last_seen[name] = value
-        if state.watch is not None:
-            self._watch_edge(state, value, step)
-        if state.task_type != "value":
-            state.absorb(value)
-        if step < state.next_due:
+        row, sampler = state.soa_row, state.sampler
+        interval = self.offer_fast(name, value, step)
+        if interval is None:
             return None
-
-        monitored = state.monitored(step, value)
-        decision = state.sampler.observe(monitored, step)
-        state.samples_taken += 1
-
-        interval = decision.next_interval
-        if state.trigger_task is not None:
-            trigger_value = self._last_seen.get(state.trigger_task)
-            if (trigger_value is not None
-                    and trigger_value < state.trigger_level):
-                interval = max(interval, state.suspend_interval)
-        if (state.remote_trigger is not None and not state.trigger_armed
-                and state.suspend_interval > interval):
-            interval = state.suspend_interval
-            state.trigger_suspensions += 1
-        state.next_due = step + max(1, interval)
-
-        alert = None
-        if decision.violation:
-            self.alerts_fired += 1
-            alert = state.make_alert(step, monitored)
-            state.alerts.append(alert)
-            if state.on_alert is not None:
-                state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            if decision.grew or decision.reset:
-                trace.emit("interval_adapted", task=name,
-                           shard=self._trace_shard, step=step,
-                           interval=decision.next_interval,
-                           grew=decision.grew, reset=decision.reset,
-                           beta=decision.misdetection_bound)
-            if alert is not None:
-                trace.emit("violation", task=name,
-                           shard=self._trace_shard, step=step,
-                           value=alert.value,
-                           threshold=alert.threshold)
-        return decision
+        if row < 0:
+            return SamplingDecision.from_flags(
+                interval, sampler.last_misdetection_bound, sampler.last_flags)
+        return SamplingDecision.from_flags(
+            interval, float(self._soa.last_beta[row]),
+            int(self._soa.last_flags[row]))
 
     def offer_fast(self, name: str, value: float, step: int) -> int | None:
-        """Allocation-light twin of :meth:`offer` (DESIGN.md S27).
+        """The by-name offer path behind :meth:`offer` (DESIGN.md S27).
 
-        Identical behaviour — aggregation, trigger gating, schedule
-        advance, alert callbacks and counters — but the sampler is driven
-        through its fused
-        :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe_fast`
-        path and no :class:`~repro.core.adaptation.SamplingDecision` is
-        constructed. Returns the sampler's next interval (the pre-gating
-        value :meth:`offer` reports in its decision) when the value was
+        Aggregation, trigger gating, schedule advance, alert callbacks,
+        trace events and counters, without building a
+        :class:`~repro.core.adaptation.SamplingDecision`. Returns the
+        sampler's next interval (before trigger gating) when the value was
         consumed as a scheduled sample, ``None`` when the task was not
         due. This is the runtime shard drain loop's data path.
         """
@@ -1039,32 +989,15 @@ class MonitoringService:
             state.trigger_suspensions += 1
         state.next_due = step + max(1, interval)
 
-        alert = None
-        if sampler.last_violation:
-            self.alerts_fired += 1
-            alert = state.make_alert(step, monitored)
-            state.alerts.append(alert)
-            if state.on_alert is not None:
-                state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            grew = sampler.last_grew
-            reset = sampler.last_reset
-            if grew or reset:
-                trace.emit("interval_adapted", task=name,
-                           shard=self._trace_shard, step=step,
-                           interval=raw_interval, grew=grew, reset=reset,
-                           beta=sampler.last_misdetection_bound)
-            if alert is not None:
-                trace.emit("violation", task=name,
-                           shard=self._trace_shard, step=step,
-                           value=alert.value,
-                           threshold=alert.threshold)
+        flags = sampler.last_flags
+        if flags:
+            self._events(state, step, monitored, raw_interval, flags,
+                         sampler.last_misdetection_bound)
         return raw_interval
 
     def _offer_soa(self, state: TaskState, value: float,
                    step: int) -> int | None:
-        """SoA-row twin of :meth:`offer_fast` (identical behaviour)."""
+        """:meth:`offer_fast` for an engine-backed task."""
         engine = self._soa
         row = state.soa_row
         engine.last_offered[row] = value
@@ -1075,20 +1008,23 @@ class MonitoringService:
         engine.samples_taken[row] += 1
         # No trigger gating by construction (trigger wiring evicts).
         engine.next_due[row] = step + max(1, interval)
-        self._soa_events(state, step, value, interval,
-                         int(engine.last_flags[row]),
+        flags = int(engine.last_flags[row])
+        if flags:
+            if flags & 4:
+                # Logged columnar alerts fired first; keep the firing order.
+                self._flush_alerts()
+            self._events(state, step, value, interval, flags,
                          float(engine.last_beta[row]))
         return interval
 
-    def _soa_events(self, state: TaskState, step: int, monitored: float,
-                    interval: int, flags: int, beta: float) -> None:
-        """Alert + trace fan-out for one consumed SoA offer."""
+    def _events(self, state: TaskState, step: int, monitored: float,
+                interval: int, flags: int, beta: float) -> None:
+        """Alert and trace fan-out for one consumed offer whose outcome
+        bits ``flags`` (1 grew, 2 reset, 4 violation) are non-zero."""
+        alert = None
         if flags & 4:
             self.alerts_fired += 1
-            # Logged columnar alerts fired first; keep the firing order.
-            self._flush_alerts()
-            alert = Alert(time_index=step, value=monitored,
-                          threshold=state.task.threshold)
+            alert = state.make_alert(step, monitored)
             state.alerts.append(alert)
             if state.on_alert is not None:
                 state.on_alert(alert)
@@ -1099,11 +1035,10 @@ class MonitoringService:
                            shard=self._trace_shard, step=step,
                            interval=interval, grew=bool(flags & 1),
                            reset=bool(flags & 2), beta=beta)
-            if flags & 4:
+            if alert is not None:
                 trace.emit("violation", task=state.name,
                            shard=self._trace_shard, step=step,
-                           value=monitored,
-                           threshold=state.task.threshold)
+                           value=alert.value, threshold=alert.threshold)
 
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,
@@ -1208,11 +1143,21 @@ class MonitoringService:
         return tuple(column[live] for column in (rows, *columns))
 
     def alerts(self, name: str) -> list[Alert]:
-        """Alerts raised by a task so far (chronological)."""
+        """Alerts raised by a task so far (chronological).
+
+        Logged alerts of an engine-backed task are built for this reply
+        only: the columnar alert log stays as it is.
+        """
         state = self._state(name)
-        if state.soa_row >= 0:
-            self._flush_alerts()
-        return list(state.alerts)
+        history = list(state.alerts)
+        row = state.soa_row
+        for rows, steps, values in self._alert_log if row >= 0 else ():
+            hits = rows == row
+            history += [Alert(time_index=step, value=value,
+                              threshold=state.task.threshold)
+                        for step, value in zip(steps[hits].tolist(),
+                                               values[hits].tolist())]
+        return history
 
     def samples_taken(self, name: str) -> int:
         """Sampling operations consumed by a task so far."""

@@ -1,6 +1,6 @@
 """Deterministic chaos harness for the reproduction (DESIGN.md S28).
 
-Three layers:
+Three layers, plus the equivalence oracle:
 
 * :mod:`repro.testkit.faults` — ``(seed, spec)``-compiled fault plans and
   the :class:`~repro.testkit.faults.FaultHook` seams the runtime exposes;
@@ -9,11 +9,15 @@ Three layers:
   no ACKed offer lost);
 * :mod:`repro.testkit.scenarios` — the scenario matrix driving the live
   runtime under injected faults, plus the ``python -m repro.testkit``
-  CLI that writes JSON conformance reports.
+  CLI that writes JSON conformance reports;
+* :mod:`repro.testkit.oracle` — :class:`~repro.testkit.oracle.ReferenceSampler`,
+  the readable adaptation step the production sampler is held to bit
+  for bit (DESIGN.md S27).
 
-This package deliberately re-exports only ``faults`` and ``invariants``:
-the runtime imports the hook interface from here, and ``scenarios``
-imports the runtime — importing it eagerly would create a cycle. Reach
+This package deliberately re-exports only ``faults``, ``invariants`` and
+``oracle``: the runtime imports the hook interface from here, and
+``scenarios`` imports the runtime — importing it eagerly would create a
+cycle. Reach
 scenarios via ``repro.testkit.scenarios`` (the CLI does).
 """
 
@@ -28,6 +32,7 @@ from repro.testkit.invariants import (ConservationCheckedPolicy,
                                       check_quantile_misdetection,
                                       check_restore_bit_identical,
                                       snapshot_fingerprint)
+from repro.testkit.oracle import ReferenceSampler, use_reference_samplers
 
 __all__ = [
     "ConservationCheckedPolicy",
@@ -39,6 +44,7 @@ __all__ = [
     "LeakySketch",
     "NOOP_HOOK",
     "PlanFaultHook",
+    "ReferenceSampler",
     "check_allowance_conservation",
     "check_misdetection_bound",
     "check_no_acked_loss",
@@ -46,4 +52,5 @@ __all__ = [
     "check_restore_bit_identical",
     "snapshot_fingerprint",
     "stable_uniform",
+    "use_reference_samplers",
 ]

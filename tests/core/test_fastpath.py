@@ -1,11 +1,13 @@
 """Deterministic equivalence tests for the fused fast path (DESIGN.md S27).
 
-The sampler, the service and the runtime shard each expose a reference
-surface (``observe`` / ``offer``) and an optimised twin (``observe_fast``
-/ ``run_trace`` / ``offer_fast``). These tests drive both surfaces over
-the same inputs and require identical decision streams and identical
-final state; the property suite (``tests/properties``) explores the same
-contract under randomised traces and mid-run retuning.
+The sampler has one production step (``observe_fast``, wrapped by
+``observe`` and inlined by ``run_trace``), and the service one by-name
+offer path (``offer_fast``, wrapped by ``offer``). These tests hold them
+to the readable reference step, :class:`repro.testkit.oracle
+.ReferenceSampler`, over the same inputs and require identical decision
+streams and identical final state; the property suite
+(``tests/properties``) explores the same contract under randomised traces
+and mid-run retuning.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
+from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
+                                   ViolationLikelihoodSampler)
 from repro.core.correlation import TriggeredSampler
 from repro.core.online_stats import WindowedStatistics
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
 from repro.service import MonitoringService
+from repro.testkit.oracle import ReferenceSampler, use_reference_samplers
 
 
 def _trace(n: int = 4_000, seed: int = 3) -> np.ndarray:
@@ -39,7 +43,7 @@ class TestObserveFastEquivalence:
     def test_streams_identical_at_every_grid_point(self, estimator):
         trace = _trace()
         config = AdaptationConfig(estimator=estimator)
-        ref = ViolationLikelihoodSampler(_task(), config)
+        ref = ReferenceSampler(_task(), config)
         fast = ViolationLikelihoodSampler(_task(), config)
         for t, value in enumerate(trace.tolist()):
             decision = ref.observe(value, t)
@@ -47,15 +51,15 @@ class TestObserveFastEquivalence:
             assert interval == decision.next_interval
             assert fast.last_misdetection_bound == \
                 decision.misdetection_bound
-            assert fast.last_grew == decision.grew
-            assert fast.last_reset == decision.reset
-            assert fast.last_violation == decision.violation
+            assert SamplingDecision.from_flags(
+                interval, fast.last_misdetection_bound,
+                fast.last_flags) == decision
         assert ref.state_dict() == fast.state_dict()
 
     def test_streams_identical_on_schedule(self):
         trace = _trace()
         config = AdaptationConfig()
-        ref = ViolationLikelihoodSampler(_task(), config)
+        ref = ReferenceSampler(_task(), config)
         fast = ViolationLikelihoodSampler(_task(), config)
         values = trace.tolist()
         t = 0
@@ -68,19 +72,43 @@ class TestObserveFastEquivalence:
     def test_observe_reports_last_outcome_too(self):
         sampler = ViolationLikelihoodSampler(_task())
         decision = sampler.observe(20.0, 0)
-        assert decision.violation and sampler.last_violation
+        assert decision.violation and sampler.last_flags == 4
         assert sampler.last_misdetection_bound == \
             decision.misdetection_bound
+
+    def test_bound_equal_to_allowance_keeps_the_interval(self):
+        # err = 1: a violating value makes beta exactly 1.0 == err, which
+        # the rule tolerates (reset only when beta > err).
+        task = TaskSpec(threshold=14.0, error_allowance=1.0,
+                        max_interval=8, name="edge")
+        config = AdaptationConfig(patience=3, min_samples=4)
+        ref = ReferenceSampler(task, config)
+        fast = ViolationLikelihoodSampler(task, config)
+        t = 0
+        while t < 40:
+            value = 10.0 + 0.01 * (t % 3)
+            decision = ref.observe(value, t)
+            assert fast.observe_fast(value, t) == decision.next_interval
+            assert fast.last_misdetection_bound == \
+                decision.misdetection_bound
+            t += decision.next_interval
+        grown = ref.interval
+        assert grown > 1
+        decision = ref.observe(20.0, t)
+        assert fast.observe_fast(20.0, t) == decision.next_interval == grown
+        assert decision.misdetection_bound == 1.0 and decision.violation
+        assert fast.last_flags == 4  # violated, did not reset
+        assert fast.state_dict() == ref.state_dict()
 
     def test_mixing_surfaces_is_allowed(self):
         trace = _trace()
         values = trace.tolist()
         mixed = ViolationLikelihoodSampler(_task())
-        ref = ViolationLikelihoodSampler(_task())
+        ref = ReferenceSampler(_task())
         for t, value in enumerate(values[:500]):
-            ref.observe(value, t)
+            decision = ref.observe(value, t)
             if t % 2:
-                mixed.observe(value, t)
+                assert mixed.observe(value, t) == decision
             else:
                 mixed.observe_fast(value, t)
         assert mixed.state_dict() == ref.state_dict()
@@ -103,7 +131,7 @@ class TestRunTraceEquivalence:
         task = _task()
         config = AdaptationConfig(estimator=estimator)
         reference = run_sampler_on_trace(
-            trace, ViolationLikelihoodSampler(task, config), task.threshold,
+            trace, ReferenceSampler(task, config), task.threshold,
             task.direction)
         fast = run_adaptive(trace, task, config)
         assert np.array_equal(reference.sampled_indices,
@@ -183,7 +211,7 @@ class TestTriggeredFastEquivalence:
         trace = _trace()
         trigger = _trace(seed=11) - 2.0
         task = _task()
-        ref_inner = ViolationLikelihoodSampler(task)
+        ref_inner = ReferenceSampler(task)
         fast_inner = ViolationLikelihoodSampler(task)
         ref = TriggeredSampler(ref_inner, elevation_level=10.0,
                                suspend_interval=6)
@@ -200,6 +228,13 @@ class TestTriggeredFastEquivalence:
 
 
 class TestServiceOfferFast:
+    """``ref_svc`` runs its by-name offer path on oracle samplers."""
+
+    @staticmethod
+    def _reference(service: MonitoringService) -> MonitoringService:
+        use_reference_samplers(service)
+        return service
+
     def _service_pair(self):
         return MonitoringService(), MonitoringService()
 
@@ -208,6 +243,7 @@ class TestServiceOfferFast:
         task = _task()
         for svc in (ref_svc, fast_svc):
             svc.add_task("cpu", task, window=3)
+        self._reference(ref_svc)
         trace = _trace(1_500).tolist()
         for step, value in enumerate(trace):
             decision = ref_svc.offer("cpu", value, step)
@@ -228,6 +264,7 @@ class TestServiceOfferFast:
             svc.add_task("disk", _task())
             svc.add_trigger("disk", "net", elevation_level=12.0,
                             suspend_interval=5)
+        self._reference(ref_svc)
         trace = _trace(1_200).tolist()
         trigger = _trace(1_200, seed=9).tolist()
         for step in range(len(trace)):
@@ -246,6 +283,7 @@ class TestServiceOfferFast:
         ref_svc, fast_svc = self._service_pair()
         for svc in (ref_svc, fast_svc):
             svc.add_task("mem", _task())
+        self._reference(ref_svc)
         for step, value in enumerate(_trace(800).tolist()):
             ref_svc.offer("mem", value, step)
             fast_svc.offer_fast("mem", value, step)
@@ -275,6 +313,7 @@ class TestShardApplyFastPath:
         worker = ShardWorker(0, fast_svc, queue_depth=4)
         ref_svc = MonitoringService()
         ref_svc.add_task("cpu", _task())
+        use_reference_samplers(ref_svc)
         trace = _trace(1_000).tolist()
         worker.apply([["cpu", step, value]
                       for step, value in enumerate(trace)])

@@ -7,7 +7,9 @@ boundary value itself (``trigger == level`` counts as *elevated*: only
 strictly-below suspends), the ``None`` trigger (conservatively
 elevated), the interval floor (idle never *shortens* an inner interval
 that is already longer), and the observe/observe_fast equivalence the
-runtime drain loop depends on.
+runtime drain loop depends on — the latter against a guard whose inner
+sampler is the reference oracle
+(:class:`repro.testkit.oracle.ReferenceSampler`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.correlation import TriggeredSampler
 from repro.core.task import TaskSpec
+from repro.testkit.oracle import ReferenceSampler
 
 values_st = st.lists(st.floats(min_value=0.0, max_value=200.0,
                                allow_nan=False),
@@ -29,11 +32,11 @@ triggers_st = st.lists(st.one_of(st.none(),
                        min_size=1, max_size=150)
 
 
-def _inner(max_interval=8):
+def _inner(max_interval=8, sampler=ViolationLikelihoodSampler):
     spec = TaskSpec(threshold=150.0, error_allowance=0.05,
                     max_interval=max_interval)
     config = AdaptationConfig(patience=3, min_samples=4)
-    return ViolationLikelihoodSampler(spec, config)
+    return sampler(spec, config)
 
 
 class TestTriggerEdges:
@@ -102,7 +105,8 @@ class TestTriggerEdges:
         """The drain-loop surface: intervals, inner sampler state and the
         suspended-steps counter must match observe() exactly, including
         None triggers (conservatively elevated)."""
-        slow = TriggeredSampler(_inner(), level, suspend_interval=suspend)
+        slow = TriggeredSampler(_inner(sampler=ReferenceSampler), level,
+                                suspend_interval=suspend)
         fast = TriggeredSampler(_inner(), level, suspend_interval=suspend)
         step = 0
         for value, trig in zip(values, triggers * (

@@ -1,7 +1,8 @@
 """Property-based equivalence: fused fast path vs. reference (DESIGN.md S27).
 
-Hypothesis drives randomised traces through the reference ``observe``
-surface and the fused twins (``observe_fast``, whole-trace ``run_trace``)
+Hypothesis drives randomised traces through the readable reference step
+(:class:`repro.testkit.oracle.ReferenceSampler`) and the production
+sampler's fused step (``observe_fast``, whole-trace ``run_trace``)
 under the conditions the optimisation could plausibly break: both
 estimators, statistics restarts every few samples, recording disabled,
 and coordinator-driven ``error_allowance`` retuning mid-run. The fast
@@ -17,13 +18,17 @@ from hypothesis import strategies as st
 
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.task import TaskSpec
+from repro.testkit.oracle import ReferenceSampler
 
 values_st = st.floats(min_value=-50.0, max_value=50.0,
                       allow_nan=False, allow_infinity=False)
 traces_st = st.lists(values_st, min_size=25, max_size=220)
 estimators_st = st.sampled_from(["chebyshev", "gaussian"])
 thresholds_st = st.floats(min_value=1.0, max_value=40.0, allow_nan=False)
-allowances_st = st.floats(min_value=0.0, max_value=0.3, allow_nan=False)
+# err = 1 lets beta equal the allowance exactly (beta is 1.0 whenever the
+# gap closes), the boundary of the reset rule's strict ``beta > err``.
+allowances_st = st.one_of(
+    st.floats(min_value=0.0, max_value=0.3, allow_nan=False), st.just(1.0))
 
 
 def _build(trace_len: int, threshold: float, err: float, estimator: str,
@@ -36,8 +41,8 @@ def _build(trace_len: int, threshold: float, err: float, estimator: str,
 
 
 def _reference_streams(values, task, config, allowance_plan=None):
-    """Drive ``observe`` on its own schedule; return the decision streams."""
-    sampler = ViolationLikelihoodSampler(task, config)
+    """Drive the oracle on its own schedule; return the decision streams."""
+    sampler = ReferenceSampler(task, config)
     sampled, intervals, betas = [], [], []
     t = 0
     while t < len(values):
@@ -147,7 +152,7 @@ class TestObserveFastProperties:
         # on a sample point take effect in the reference — align by
         # applying each segment's allowance before its first sample.
         boundaries = sorted(b for b in plan if b < len(trace))
-        sampler_ref = ViolationLikelihoodSampler(task, config)
+        sampler_ref = ReferenceSampler(task, config)
         sampled_ref, intervals_ref = [], []
         t = 0
         while t < len(trace):

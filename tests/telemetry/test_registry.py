@@ -144,6 +144,26 @@ class TestInstrumentSamplers:
         assert snap["volley_sampler_grow_events_total"]["series"][0][
             "value"] > 0.0
 
+    def test_observe_and_observe_fast_each_count_one_step(self):
+        registry = MetricsRegistry()
+        instrument_samplers(registry)
+        task = TaskSpec(threshold=100.0, error_allowance=0.05,
+                        max_interval=10)
+        sampler = ViolationLikelihoodSampler(task, AdaptationConfig())
+
+        def counts() -> tuple[float, float]:
+            snap = registry.snapshot()
+            return tuple(
+                snap[f"volley_sampler_{kind}_total"]["series"][0]["value"]
+                for kind in ("observations", "violations"))
+
+        sampler.observe(10.0, 0)
+        assert counts() == (1.0, 0.0)
+        sampler.observe_fast(10.0, 1)
+        assert counts() == (2.0, 0.0)
+        assert sampler.observe(200.0, 2).violation
+        assert counts() == (3.0, 1.0)
+
     def test_null_registry_restores_null_object(self):
         instrument_samplers(MetricsRegistry())
         instrument_samplers(NULL_REGISTRY)

@@ -13,6 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
 from repro.telemetry.trace import (NULL_TRACE, DecisionTrace, NullTrace,
                                    TRACE_EVENT_KINDS)
+from repro.testkit.oracle import use_reference_samplers
 
 
 class TestRingBuffer:
@@ -110,8 +111,10 @@ class TestServiceEmission:
         assert violation["threshold"] == 100.0
 
     def test_offer_surfaces_emit_identical_streams(self):
+        # The slow side steps the readable reference sampler.
         slow, fast = DecisionTrace(1024), DecisionTrace(1024)
         service_slow = self._service(slow)
+        use_reference_samplers(service_slow)
         service_fast = self._service(fast)
         self._drive(service_slow.offer)
         self._drive(service_fast.offer_fast)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptation import AdaptationConfig
+from repro.core.adaptation import AdaptationConfig, SamplingDecision
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
@@ -117,6 +117,27 @@ class TestAlerts:
         service.offer("m", 0.0, 1)
         # Max over the trailing window still sees the old spike.
         assert len(service.alerts("m")) == 2
+
+    @pytest.mark.parametrize("soa", [False, True])
+    @pytest.mark.parametrize("action", ["remove", "evict"])
+    def test_offer_decision_survives_callback_that_drops_the_task(
+            self, soa, action):
+        # The callback removes the task, or evicts it from the SoA engine
+        # by wiring a trigger; offer() must still report its own step.
+        service = MonitoringService(soa=soa)
+
+        def drop(alert) -> None:
+            if action == "remove":
+                service.remove_task("hot")
+            else:
+                service.add_trigger("hot", "other", elevation_level=1.0)
+
+        service.add_task("other", task(threshold=100.0))
+        service.add_task("hot", task(threshold=100.0), on_alert=drop)
+        assert (service.soa_row_for("hot") >= 0) == soa
+        decision = service.offer("hot", 500.0, 0)
+        assert decision == SamplingDecision(
+            next_interval=1, misdetection_bound=1.0, violation=True)
 
 
 class TestTriggers:
